@@ -85,7 +85,7 @@ fn main() {
 
     // ---- build: live store + mirrored history ------------------------
     let mut live = HyGraph::new();
-    let mut history = HistoryStore::new(HistoryConfig::default(), &live, 0);
+    let history = HistoryStore::new(HistoryConfig::default(), &live, 0);
     let mut batches = Vec::with_capacity(commits);
     let ((), build_ms) = time_ms(|| {
         for i in 0..commits {
@@ -157,7 +157,7 @@ fn main() {
             for _ in 0..runs {
                 // fresh store per run: an empty snapshot cache makes the
                 // first read pay the full base-decode + replay cost
-                let mut h = HistoryStore::from_parts(
+                let h = HistoryStore::from_parts(
                     HistoryConfig::default(),
                     base_state.clone(),
                     0,

@@ -199,11 +199,13 @@ pub enum ResolvedStates {
 /// Resolves transaction-time bounds to historical graph states. The
 /// history subsystem (`hygraph-temporal`) implements this over its
 /// commit log; the query layer stays ignorant of how snapshots are
-/// reconstructed.
+/// reconstructed. Resolvers are shared between concurrent queries, so
+/// they take `&self` and do any locking internally; the query layer
+/// calls one only for a query that carries a temporal bound.
 pub trait TemporalResolver {
     /// Resolves `bound` to the state(s) to execute against. Errors when
     /// the bound precedes the retained history horizon.
-    fn resolve(&mut self, bound: &TemporalBound) -> Result<ResolvedStates>;
+    fn resolve(&self, bound: &TemporalBound) -> Result<ResolvedStates>;
 }
 
 /// Executes a planned query at each epoch state in order and unions the
@@ -292,7 +294,7 @@ pub fn run_instrumented_temporal(
     hg: &HyGraph,
     text: &str,
     cache: Option<&dyn PlanCacheHook>,
-    resolver: Option<&mut dyn TemporalResolver>,
+    resolver: Option<&dyn TemporalResolver>,
 ) -> Result<QueryResult> {
     run_instrumented_bound(hg, text, cache, resolver, None)
 }
@@ -309,7 +311,7 @@ pub fn run_instrumented_bound(
     hg: &HyGraph,
     text: &str,
     cache: Option<&dyn PlanCacheHook>,
-    resolver: Option<&mut dyn TemporalResolver>,
+    resolver: Option<&dyn TemporalResolver>,
     bound: Option<TemporalBound>,
 ) -> Result<QueryResult> {
     run_instrumented_sharded(hg, text, cache, resolver, bound, None)
@@ -327,7 +329,7 @@ pub fn run_instrumented_sharded(
     hg: &HyGraph,
     text: &str,
     cache: Option<&dyn PlanCacheHook>,
-    mut resolver: Option<&mut dyn TemporalResolver>,
+    resolver: Option<&dyn TemporalResolver>,
     bound: Option<TemporalBound>,
     router: Option<ShardRouter>,
 ) -> Result<QueryResult> {
@@ -373,7 +375,7 @@ pub fn run_instrumented_sharded(
         if q.explain {
             return Ok(plan::explain_result(&planned));
         }
-        let states = match (&q.temporal, resolver.as_deref_mut()) {
+        let states = match (&q.temporal, resolver) {
             (None, _) | (Some(TemporalBound::AsOfNow), None) => ResolvedStates::Live,
             (Some(bound), Some(r)) => r.resolve(bound)?,
             (Some(_), None) => {

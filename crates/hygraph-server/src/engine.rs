@@ -28,7 +28,7 @@
 use crate::proto::{ErrorCode, Request, Response};
 use hygraph_core::HyGraph;
 use hygraph_persist::{Durable, DurableStore, HgMutation, ShardedStore};
-use hygraph_query::{PlanCacheHook, PlannedQuery, QueryResult, TemporalBound};
+use hygraph_query::{PlanCacheHook, PlannedQuery, QueryResult, TemporalBound, TemporalResolver};
 use hygraph_sub::{DeltaSink, SubConfig, SubscriptionRegistry};
 use hygraph_temporal::{now_ms, HistoryConfig, HistorySeed, HistoryStore, ShardWatermark};
 use hygraph_types::bytes::ByteWriter;
@@ -163,6 +163,24 @@ struct ShardPositions {
     frontiers: Vec<u64>,
 }
 
+/// A published read snapshot and the timestamp of the newest commit
+/// it contains (`0` with history off) — the stamp that lets an `AS OF`
+/// read through an older pin tell whether the pin is the answer.
+#[derive(Clone)]
+struct Pin {
+    graph: Arc<HyGraph>,
+    commit_ts: i64,
+}
+
+impl Pin {
+    fn of(hg: &HyGraph, history: Option<&HistoryStore>) -> Self {
+        Self {
+            graph: Arc::new(hg.clone()),
+            commit_ts: history.map_or(0, HistoryStore::last_ts),
+        }
+    }
+}
+
 /// Thread-safe request executor over a [`Backend`] (see module docs).
 pub struct Engine {
     inner: RwLock<Backend>,
@@ -175,18 +193,20 @@ pub struct Engine {
     /// commit order.
     subs: SubscriptionRegistry,
     /// Transaction-time history (`None` when `HYGRAPH_HISTORY=0`): the
-    /// commit timeline behind `AS OF` / `BETWEEN`. Lock order is always
-    /// backend lock first, then this mutex — queries resolve under the
-    /// read lock, commits record under the write lock.
-    history: Option<Mutex<HistoryStore>>,
+    /// commit timeline behind `AS OF` / `BETWEEN`. Its lock is internal
+    /// and held only for bookkeeping, never across a query: live
+    /// queries do not call into it, `AS OF` reconstructs outside it, and
+    /// a commit takes it twice under the backend write lock (allocate
+    /// the timestamp, record the applied batch — before publishing).
+    history: Option<HistoryStore>,
     /// The element → shard partitioning every layer of this engine
     /// agrees on. Single-shard routers select the legacy lock paths.
     router: ShardRouter,
     /// Multi-shard only: the published read snapshot. Writers replace
-    /// the `Arc` under the backend write lock after each committed
-    /// batch; readers clone it (pinning that epoch) and never take the
-    /// backend lock at all. `None` exactly when `router.is_single()`.
-    snapshot: Option<RwLock<Arc<HyGraph>>>,
+    /// it under the backend write lock after each committed batch;
+    /// readers clone it (pinning that epoch) and never take the backend
+    /// lock at all. `None` exactly when `router.is_single()`.
+    snapshot: Option<RwLock<Pin>>,
     /// Monotone snapshot-publication counter (the read epoch). Starts
     /// at 0 for the initial state; each published batch bumps it.
     epoch: AtomicU64,
@@ -261,13 +281,13 @@ impl Engine {
             Backend::Durable(_) => ShardRouter::new(1),
             Backend::Memory { .. } => ShardConfig::new().router(),
         };
-        let initial = (!router.is_single()).then(|| Arc::new(backend.graph().clone()));
-        let pinned = Mutex::new(initial.iter().map(Arc::downgrade).collect());
+        let initial = (!router.is_single()).then(|| Pin::of(backend.graph(), history.as_ref()));
+        let pinned = Mutex::new(initial.iter().map(|p| Arc::downgrade(&p.graph)).collect());
         Self {
             inner: RwLock::new(backend),
             plan_cache: (capacity > 0).then(|| PlanCache::new(capacity)),
             subs: SubscriptionRegistry::from_env(),
-            history: history.map(Mutex::new),
+            history,
             watermark: Mutex::new(ShardWatermark::new(router.shards())),
             router,
             snapshot: initial.map(RwLock::new),
@@ -292,11 +312,12 @@ impl Engine {
                 Backend::Durable(_) => ShardRouter::new(1),
                 Backend::Memory { .. } => ShardRouter::new(shards),
             };
-            let initial = (!router.is_single()).then(|| Arc::new(guard.graph().clone()));
+            let initial =
+                (!router.is_single()).then(|| Pin::of(guard.graph(), self.history.as_ref()));
             (router, initial)
         };
         self.router = router;
-        self.pinned = Mutex::new(initial.iter().map(Arc::downgrade).collect());
+        self.pinned = Mutex::new(initial.iter().map(|p| Arc::downgrade(&p.graph)).collect());
         self.snapshot = initial.map(RwLock::new);
         self.watermark = Mutex::new(ShardWatermark::new(self.router.shards()));
         self
@@ -438,64 +459,77 @@ impl Engine {
     }
 
     fn run_query(&self, text: &str, bound: Option<TemporalBound>) -> Result<QueryResult> {
-        let cache = self.plan_cache.as_ref().map(|c| c as &dyn PlanCacheHook);
         match &self.snapshot {
             // Multi-shard: pin the published epoch (one Arc clone, the
             // slot lock held only for that clone) and execute against
             // the immutable snapshot — never blocking behind a writer
             // mid-commit — through the scatter-gather path.
             Some(slot) => {
-                let snap = Arc::clone(&slot.read().unwrap_or_else(|e| e.into_inner()));
-                self.run_pinned(&snap, text, cache, bound, Some(self.router))
+                let pin = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
+                self.run_pinned(&pin, text, bound)
             }
             // Single shard: the exact legacy path — queries share the
-            // backend read lock with each other and exclude writers.
+            // backend read lock with each other and exclude writers, so
+            // the live state holds exactly the history's newest commit.
             None => {
                 let guard = self.read();
-                self.run_pinned(guard.graph(), text, cache, bound, None)
-            }
-        }
-    }
-
-    fn run_pinned(
-        &self,
-        hg: &HyGraph,
-        text: &str,
-        cache: Option<&dyn PlanCacheHook>,
-        bound: Option<TemporalBound>,
-        router: Option<ShardRouter>,
-    ) -> Result<QueryResult> {
-        match &self.history {
-            Some(h) => {
-                let mut h = h.lock().unwrap_or_else(|e| e.into_inner());
+                let history = self.history.as_ref().map(|h| h as &dyn TemporalResolver);
                 hygraph_query::run_instrumented_sharded(
-                    hg,
+                    guard.graph(),
                     text,
-                    cache,
-                    Some(&mut *h),
+                    self.plan_cache(),
+                    history,
                     bound,
-                    router,
+                    None,
                 )
             }
-            None => hygraph_query::run_instrumented_sharded(hg, text, cache, None, bound, router),
         }
     }
 
-    /// Publishes the current backend state as the new read snapshot
-    /// (multi-shard engines only; a no-op at one shard). Callers hold
-    /// the backend write lock, so publications happen in commit order.
+    /// Executes against a pinned snapshot. An `AS OF` bound resolves
+    /// to the pin itself only when the pin holds exactly the commits up
+    /// to the bound; a bound past a pin that later commits have
+    /// overtaken is served from history.
+    fn run_pinned(
+        &self,
+        pin: &Pin,
+        text: &str,
+        bound: Option<TemporalBound>,
+    ) -> Result<QueryResult> {
+        let history = self.history.as_ref().map(|h| h.pinned(pin.commit_ts));
+        hygraph_query::run_instrumented_sharded(
+            &pin.graph,
+            text,
+            self.plan_cache(),
+            history.as_ref().map(|r| r as &dyn TemporalResolver),
+            bound,
+            Some(self.router),
+        )
+    }
+
+    fn plan_cache(&self) -> Option<&dyn PlanCacheHook> {
+        self.plan_cache.as_ref().map(|c| c as &dyn PlanCacheHook)
+    }
+
+    /// Publishes the current backend state, stamped with the newest
+    /// commit it contains, as the new read snapshot (multi-shard
+    /// engines only; a no-op at one shard). Callers hold the backend
+    /// write lock, so publications happen in commit order.
     /// The whole step — clone (structural sharing makes it O(structure
     /// changed by the batch)), slot swap, and the drop of the previous
     /// epoch's last unpinned reference — lands in the
     /// `hygraph_commit_publish_us` histogram: it is the per-commit cost
     /// snapshot publication adds to the write path.
-    fn publish(&self, hg: &HyGraph) {
+    fn publish(&self, hg: &HyGraph, commit_ts: i64) {
         if let Some(slot) = &self.snapshot {
             let start = Instant::now();
             let next = Arc::new(hg.clone());
             let retired = std::mem::replace(
                 &mut *slot.write().unwrap_or_else(|e| e.into_inner()),
-                Arc::clone(&next),
+                Pin {
+                    graph: Arc::clone(&next),
+                    commit_ts,
+                },
             );
             self.epoch.fetch_add(1, Ordering::Release);
             drop(retired);
@@ -515,9 +549,13 @@ impl Engine {
     /// lives, that epoch counts into the `hygraph_snapshot_pinned`
     /// gauge.
     pub fn pin_snapshot(&self) -> Option<Arc<HyGraph>> {
+        self.pin().map(|p| p.graph)
+    }
+
+    fn pin(&self) -> Option<Pin> {
         self.snapshot
             .as_ref()
-            .map(|slot| Arc::clone(&slot.read().unwrap_or_else(|e| e.into_inner())))
+            .map(|slot| slot.read().unwrap_or_else(|e| e.into_inner()).clone())
     }
 
     /// How many published snapshot versions are currently alive: the
@@ -652,16 +690,13 @@ impl Engine {
             };
             // a failed batch keeps its applied prefix, so readers must
             // still advance to it — publish on both outcomes
-            self.publish(guard.graph());
+            self.publish(guard.graph(), 0);
             return outcome;
         }
         // allocate the batch's transaction timestamp before staging so
         // WAL frames carry the same stamp the history records
         let ts = self.history.as_ref().map(|h| {
-            let ts = h
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .allocate_ts(now_ms());
+            let ts = h.allocate_ts(now_ms());
             match &mut *guard {
                 Backend::Durable(store) => store.set_commit_ts(ts),
                 // one cross-shard commit timestamp per batch: every
@@ -705,16 +740,16 @@ impl Engine {
                 ((res), (store.next_csn() - before) as usize)
             }
         };
+        // record the applied prefix — history replays must reproduce
+        // exactly what the store kept — before publishing, so a reader
+        // of the new snapshot finds its commit in history
+        let commit_ts = match (ts, &self.history) {
+            (Some(ts), Some(h)) => h.record_commit(ts, mutations[..applied_n].to_vec()),
+            _ => 0,
+        };
         // readers advance to the batch (or its kept prefix) only now —
         // a pinned snapshot can never show a torn batch
-        self.publish(guard.graph());
-        if let (Some(ts), Some(h)) = (ts, &self.history) {
-            // record the applied prefix — history replays must
-            // reproduce exactly what the store kept
-            h.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record_commit(ts, mutations[..applied_n].to_vec());
-        }
+        self.publish(guard.graph(), commit_ts);
         if notify {
             // both backends keep the valid prefix of a failed batch, so
             // subscribers must still observe it (failed => rebuild path)
@@ -728,18 +763,12 @@ impl Engine {
     /// (oldest first), or `None` with history disabled — how tests and
     /// the bench harness pick `AS OF` targets.
     pub fn history_commit_timestamps(&self) -> Option<Vec<i64>> {
-        self.history.as_ref().map(|h| {
-            h.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .commit_timestamps()
-        })
+        self.history.as_ref().map(HistoryStore::commit_timestamps)
     }
 
     /// The history horizon (`base_ts`), or `None` with history off.
     pub fn history_horizon(&self) -> Option<i64> {
-        self.history
-            .as_ref()
-            .map(|h| h.lock().unwrap_or_else(|e| e.into_inner()).base_ts())
+        self.history.as_ref().map(HistoryStore::base_ts)
     }
 
     /// Forces a checkpoint on a durable backend; a no-op pseudo-LSN
@@ -1147,5 +1176,39 @@ mod tests {
             .query_as_of("MATCH (s:Station) RETURN COUNT(s) AS n", failed_ts)
             .unwrap();
         assert_eq!(past.rows[0][0], hygraph_types::Value::Int(1));
+    }
+
+    #[test]
+    fn as_of_through_an_older_pin_serves_the_newer_commit() {
+        let engine = Engine::with_history_config(
+            Backend::memory(HyGraph::new()),
+            8,
+            HistoryConfig::default(),
+        )
+        .with_shards(2);
+        engine.mutate_batch(seed_mutations()).unwrap(); // A: one station
+        let ts_a = *engine.history_commit_timestamps().unwrap().last().unwrap();
+        let pin = engine.pin().expect("multi-shard engines publish");
+        engine
+            .mutate_batch(vec![HgMutation::AddTsVertex {
+                labels: vec![Label::new("Station")],
+                series: SeriesId::new(0),
+            }])
+            .unwrap(); // B: two stations
+        let ts_b = *engine.history_commit_timestamps().unwrap().last().unwrap();
+        let count_at = |t: i64| {
+            let bound = TemporalBound::AsOf(Timestamp::from_millis(t));
+            let r = engine
+                .run_pinned(&pin, "MATCH (s:Station) RETURN COUNT(s) AS n", Some(bound))
+                .unwrap();
+            r.rows[0][0].clone()
+        };
+        // B is the newest commit, but the pin predates it: the answer is
+        // B's state, not the pin's
+        assert_eq!(count_at(ts_b), hygraph_types::Value::Int(2));
+        assert_eq!(count_at(i64::MAX), hygraph_types::Value::Int(2));
+        // up to B the pin itself is the state
+        assert_eq!(count_at(ts_a), hygraph_types::Value::Int(1));
+        assert_eq!(count_at(ts_b - 1), hygraph_types::Value::Int(1));
     }
 }

@@ -31,7 +31,7 @@
 //! use hygraph_types::{Interval, Timestamp};
 //!
 //! let mut live = HyGraph::new();
-//! let mut history = HistoryStore::new(HistoryConfig::default(), &live, 0);
+//! let history = HistoryStore::new(HistoryConfig::default(), &live, 0);
 //!
 //! // commit one vertex at t=1000 (mirroring the mutation into history)
 //! let m = HgMutation::AddPgVertex {
@@ -56,9 +56,13 @@
 //! Serving integration lives in `hygraph-server`: the engine allocates
 //! a timestamp per mutation batch ([`HistoryStore::allocate_ts`]),
 //! stamps it into the WAL frames and checkpoint watermark
-//! (`hygraph-persist`), mirrors the applied batch into the history,
-//! and passes the store as the [`hygraph_query::TemporalResolver`] for
-//! `AS OF` / `BETWEEN` queries. After a restart, [`HistorySeed`]
+//! (`hygraph-persist`), mirrors the applied batch into the history
+//! before publishing the new read snapshot, and passes the store — or,
+//! for a pinned snapshot, [`HistoryStore::pinned`] — as the
+//! [`hygraph_query::TemporalResolver`] for `AS OF` / `BETWEEN` queries.
+//! The store is shared by reference: its lock is internal and covers
+//! bookkeeping only, and cold reconstructions run outside it (see
+//! [`HistoryStore`]). After a restart, [`HistorySeed`]
 //! rebuilds the commit timeline from the recovered checkpoint plus the
 //! replayed WAL suffix.
 
@@ -70,6 +74,6 @@ mod seed;
 mod watermark;
 
 pub use config::{now_ms, HistoryConfig};
-pub use history::{CommitRecord, HistoryStore, SnapshotResolution};
+pub use history::{CommitRecord, HistoryStore, PinnedResolver, SnapshotResolution};
 pub use seed::HistorySeed;
 pub use watermark::ShardWatermark;

@@ -6,7 +6,7 @@ use hygraph_types::bytes::ByteWriter;
 use hygraph_types::Result;
 
 use crate::config::HistoryConfig;
-use crate::history::{CommitRecord, HistoryStore};
+use crate::history::{decode_state, CommitRecord, HistoryStore};
 
 /// A [`RecoveryObserver`] that captures the recovered checkpoint and
 /// every replayed WAL frame, then assembles them into a
@@ -54,12 +54,7 @@ impl HistorySeed {
         // legacy HGWL1 suffix replays as ts = 0.)
         let split = replays.partition_point(|(ts, _)| *ts <= base_ts);
         if split > 0 {
-            let mut state = {
-                let mut r = hygraph_types::bytes::ByteReader::new(&base_state);
-                let hg = HyGraph::decode_state(&mut r)?;
-                r.expect_exhausted()?;
-                hg
-            };
+            let mut state = decode_state(&base_state)?;
             for (_, m) in &replays[..split] {
                 state.apply(m)?;
             }
@@ -124,7 +119,7 @@ mod tests {
 
     #[test]
     fn empty_seed_finishes_as_a_fresh_history() {
-        let mut history = HistorySeed::new(HistoryConfig::default()).finish().unwrap();
+        let history = HistorySeed::new(HistoryConfig::default()).finish().unwrap();
         assert_eq!(history.base_ts(), 0);
         assert_eq!(history.commit_count(), 0);
         // the horizon state is an empty store
@@ -146,7 +141,7 @@ mod tests {
         seed.replay(1, 6_000, &add_vertex("A"));
         seed.replay(2, 6_000, &add_vertex("B"));
         seed.replay(3, 7_000, &add_vertex("C"));
-        let mut history = seed.finish().unwrap();
+        let history = seed.finish().unwrap();
 
         assert_eq!(history.base_ts(), 5_000);
         assert_eq!(history.commit_timestamps(), vec![6_000, 7_000]);
@@ -173,7 +168,7 @@ mod tests {
         seed.replay(2, 0, &add_vertex("Older"));
         // then a timed v2 frame
         seed.replay(3, 4_000, &add_vertex("New"));
-        let mut history = seed.finish().unwrap();
+        let history = seed.finish().unwrap();
 
         assert_eq!(history.base_ts(), 0);
         assert_eq!(history.commit_timestamps(), vec![4_000]);

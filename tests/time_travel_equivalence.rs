@@ -110,7 +110,7 @@ proptest! {
             (0u8..8, 0u64..u64::MAX, 0u64..u64::MAX), 1..10),
     ) {
         let mut live = instance();
-        let mut history = HistoryStore::new(HistoryConfig::default(), &live, 0);
+        let history = HistoryStore::new(HistoryConfig::default(), &live, 0);
 
         // apply the stream one batch per op, the way the engine commits:
         // prefix up to the first failure, mirrored into history
@@ -190,11 +190,11 @@ proptest! {
         // through the full instrumented entry point with the history
         // as resolver
         for text in QUERIES {
-            let plain = hq::run_instrumented_bound(&live, text, None, Some(&mut history), None)
+            let plain = hq::run_instrumented_bound(&live, text, None, Some(&history), None)
                 .map_err(|e| TestCaseError::fail(format!("plain {text:?}: {e}")))?;
             let as_of_now_text = text.replacen(" RETURN", " AS OF NOW() RETURN", 1);
             let now = hq::run_instrumented_bound(
-                &live, &as_of_now_text, None, Some(&mut history), None,
+                &live, &as_of_now_text, None, Some(&history), None,
             )
             .map_err(|e| TestCaseError::fail(format!("AS OF NOW {text:?}: {e}")))?;
             prop_assert_eq!(
@@ -203,7 +203,7 @@ proptest! {
             );
             // the injected-bound form at a future instant is Live too
             let future = hq::run_instrumented_bound(
-                &live, text, None, Some(&mut history),
+                &live, text, None, Some(&history),
                 Some(hq::TemporalBound::AsOf(Timestamp::from_millis(i64::MAX))),
             )
             .map_err(|e| TestCaseError::fail(format!("AS OF MAX {text:?}: {e}")))?;
@@ -222,7 +222,7 @@ proptest! {
                 let want = hq::execute_epochs(&states, &planned, ExecMode::Auto)
                     .map_err(|e| TestCaseError::fail(format!("epochs {text:?}: {e}")))?;
                 let got = hq::run_instrumented_bound(
-                    &live, text, None, Some(&mut history),
+                    &live, text, None, Some(&history),
                     Some(hq::TemporalBound::Between(
                         Timestamp::from_millis(0),
                         Timestamp::from_millis(*last_ts),
