@@ -1,10 +1,13 @@
 //! Criterion benchmarks of the HyQL engine: parsing, pattern matching,
 //! series aggregates, row aggregation, and variable-length expansion on
-//! the fraud dataset.
+//! the fraud dataset; and the pattern matcher on its own (`matcher/*`)
+//! on the bike topology of the end-to-end benchmark.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hygraph_datagen::bike::{self, BikeConfig};
 use hygraph_datagen::fraud::{generate, FraudConfig};
-use hygraph_query::{parser, query};
+use hygraph_query::{execute_planned, parser, plan_query, query, PlannedQuery};
+use hygraph_types::parallel::ExecMode;
 use std::hint::black_box;
 
 fn bench_query(c: &mut Criterion) {
@@ -100,6 +103,69 @@ fn bench_query(c: &mut Criterion) {
     g.finish();
 }
 
+/// The planned form of `text` (pattern compiled, predicates pushed).
+fn planned(text: &str) -> PlannedQuery {
+    plan_query(&parser::parse(text).expect("parses")).expect("plans")
+}
+
+/// Matches of every compiled pattern, listed through the visiting
+/// callback: no binding is materialised.
+fn count_matches(p: &PlannedQuery, g: &hygraph_graph::TemporalGraph) -> usize {
+    let mut n = 0;
+    for pattern in &p.patterns {
+        pattern.find(g, |_| {
+            n += 1;
+            true
+        });
+    }
+    n
+}
+
+/// The pattern matcher on the bike topology the end-to-end benchmark's
+/// `hybrid-read` workload serves (200 stations × 30 days): the 1-hop TRIP
+/// pattern with its pushed predicate, the `[*1..2]` reach, and the
+/// pattern + series query end to end.
+fn bench_matcher(c: &mut Criterion) {
+    let hg = bike::generate(BikeConfig {
+        stations: 200,
+        days: 30,
+        ..Default::default()
+    })
+    .to_hygraph();
+    let g = hg.topology();
+    let trip =
+        planned("MATCH (a:Station)-[t:TRIP]->(b:Station) WHERE t.trips > 225 RETURN COUNT(t) AS n");
+    let reach =
+        planned("MATCH (a:Station)-[*1..2]->(x) WHERE a.capacity > 55 RETURN COUNT(x) AS reach");
+    let series = planned(
+        "MATCH (a:Station)-[t:TRIP]->(b:Station) \
+         WHERE t.trips > 225 AND MAX(b.availability IN [86400000, 172800000)) > 12 \
+         RETURN a.name AS src, COUNT(t) AS n ORDER BY n DESC, src LIMIT 10",
+    );
+
+    let mut m = c.benchmark_group("matcher");
+    m.bench_function("trip_pushed_find", |b| {
+        b.iter(|| black_box(count_matches(&trip, g)))
+    });
+    m.bench_function("trip_pushed_find_all", |b| {
+        b.iter(|| black_box(trip.patterns[0].find_all(g).len()))
+    });
+    m.bench_function("reach_1_2_find", |b| {
+        b.iter(|| black_box(count_matches(&reach, g)))
+    });
+    m.bench_function("trip_series_query", |b| {
+        b.iter(|| {
+            black_box(
+                execute_planned(&hg, &series, ExecMode::Sequential)
+                    .expect("runs")
+                    .rows
+                    .len(),
+            )
+        })
+    });
+    m.finish();
+}
+
 criterion_group! {
     name = benches;
     // CI-friendly precision: 10 samples / short windows; bump for
@@ -108,6 +174,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_query
+    targets = bench_query, bench_matcher
 }
 criterion_main!(benches);

@@ -104,22 +104,20 @@ pub fn extract_series(hg: &HyGraph) -> Vec<(SeriesId, MultiSeries)> {
 pub fn pattern_value_series(hg: &HyGraph, pattern: &Pattern, var: &str, key: &str) -> TimeSeries {
     let g = hg.topology();
     let mut pairs: Vec<(Timestamp, f64)> = Vec::new();
+    // var may bind a vertex or an edge
+    let vertex_slot = pattern.vars().vertex(var);
+    let edge_slot = pattern.vars().edge(var);
     pattern.find(g, |binding| {
-        // var may bind a vertex or an edge
-        if let Some(&v) = binding.vertices.get(var) {
-            if let Ok(data) = g.vertex(v) {
-                if data.validity.start != Timestamp::MIN {
-                    if let Some(x) = data.props.static_value(key).and_then(Value::as_f64) {
-                        pairs.push((data.validity.start, x));
-                    }
-                }
-            }
-        } else if let Some(&e) = binding.edges.get(var) {
-            if let Ok(data) = g.edge(e) {
-                if data.validity.start != Timestamp::MIN {
-                    if let Some(x) = data.props.static_value(key).and_then(Value::as_f64) {
-                        pairs.push((data.validity.start, x));
-                    }
+        let element = match vertex_slot.and_then(|s| binding.vertex(s)) {
+            Some(v) => g.vertex(v).map(|d| (d.validity, &d.props)).ok(),
+            None => edge_slot
+                .and_then(|s| binding.edge(s))
+                .and_then(|e| g.edge(e).map(|d| (d.validity, &d.props)).ok()),
+        };
+        if let Some((validity, props)) = element {
+            if validity.start != Timestamp::MIN {
+                if let Some(x) = props.static_value(key).and_then(Value::as_f64) {
+                    pairs.push((validity.start, x));
                 }
             }
         }

@@ -26,4 +26,6 @@ pub(crate) mod store;
 pub mod traverse;
 
 pub use graph::{EdgeData, TemporalGraph, VertexData};
-pub use pattern::{Direction, Pattern, PatternEdge, PatternVertex, PropPredicate};
+pub use pattern::{
+    Binding, Bound, Direction, Pattern, PatternEdge, PatternVertex, PropPredicate, Vars,
+};

@@ -7,10 +7,15 @@
 //! repetition allowed unless [`Pattern::distinct_vertices`] is set.
 //! Matching is backtracking search seeded from the most selective
 //! pattern vertex, extending along pattern edges through adjacency lists.
+//!
+//! Every variable owns a numbered slot ([`Vars`]), fixed when the
+//! pattern is built, and a [`Binding`] is one slot array: the search
+//! writes element ids into slots and never hashes or clones a name.
 
 use crate::graph::{EdgeData, TemporalGraph, VertexData};
 use hygraph_types::{EdgeId, Label, Timestamp, Value, VertexId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Comparison operator for property predicates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,12 +91,12 @@ pub enum Direction {
     Any,
 }
 
-/// A pattern vertex: a variable with optional label and property
+/// A pattern vertex: a variable slot with optional label and property
 /// constraints.
 #[derive(Clone, Debug)]
 pub struct PatternVertex {
-    /// Variable name the match binds.
-    pub var: String,
+    /// The [`Binding`] slot the match writes this vertex into.
+    pub slot: usize,
     /// Required labels (all must be present).
     pub labels: Vec<Label>,
     /// Static property predicates.
@@ -107,8 +112,9 @@ pub struct PatternVertex {
 /// A pattern edge between two pattern vertices (referenced by index).
 #[derive(Clone, Debug)]
 pub struct PatternEdge {
-    /// Optional variable name binding the matched edge.
-    pub var: Option<String>,
+    /// The [`Binding`] slot of the edge's variable (`None`: anonymous,
+    /// matched but not reported).
+    pub slot: Option<usize>,
     /// Index of the source pattern vertex.
     pub from: usize,
     /// Index of the target pattern vertex.
@@ -141,13 +147,127 @@ pub struct PatternEdge {
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MatchKey(pub Vec<u64>);
 
-/// One match: variable → element bindings.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The element held by one [`Binding`] slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Bound {
+    /// A vertex variable's match.
+    Vertex(VertexId),
+    /// An edge variable's match.
+    Edge(EdgeId),
+}
+
+/// The numbering of match variables into [`Binding`] slots: slot `i`
+/// belongs to the `i`-th distinct `(name, kind)` registered. A vertex
+/// and an edge variable of the same name get separate slots. Numbering
+/// only ever appends, so several patterns built over one growing table
+/// agree on every slot they share.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Vars {
+    /// `(name, is_edge)` per slot.
+    names: Vec<(String, bool)>,
+}
+
+impl Vars {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn find(&self, name: &str, edge: bool) -> Option<usize> {
+        self.names.iter().position(|(n, e)| *e == edge && n == name)
+    }
+
+    /// The slot of `name` (an edge variable when `edge`), registering it
+    /// if new.
+    fn slot(&mut self, name: &str, edge: bool) -> usize {
+        self.find(name, edge).unwrap_or_else(|| {
+            self.names.push((name.to_owned(), edge));
+            self.names.len() - 1
+        })
+    }
+
+    /// The slot of vertex variable `name`, if registered.
+    pub fn vertex(&self, name: &str) -> Option<usize> {
+        self.find(name, false)
+    }
+
+    /// The slot of edge variable `name`, if registered.
+    pub fn edge(&self, name: &str) -> Option<usize> {
+        self.find(name, true)
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Whether no variable is registered.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+}
+
+/// One match: the element bound to each variable slot (see [`Vars`]).
+/// Slots of variables the producing pattern does not have stay `None`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Binding {
-    /// Vertex variable bindings.
-    pub vertices: HashMap<String, VertexId>,
-    /// Edge variable bindings.
-    pub edges: HashMap<String, EdgeId>,
+    slots: Box<[Option<Bound>]>,
+}
+
+impl From<Vec<Option<Bound>>> for Binding {
+    fn from(slots: Vec<Option<Bound>>) -> Self {
+        Self {
+            slots: slots.into_boxed_slice(),
+        }
+    }
+}
+
+impl Binding {
+    /// All slots, in slot order.
+    pub fn slots(&self) -> &[Option<Bound>] {
+        &self.slots
+    }
+
+    /// The vertex in `slot`, if it holds one.
+    pub fn vertex(&self, slot: usize) -> Option<VertexId> {
+        match self.slots.get(slot) {
+            Some(Some(Bound::Vertex(v))) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The edge in `slot`, if it holds one.
+    pub fn edge(&self, slot: usize) -> Option<EdgeId> {
+        match self.slots.get(slot) {
+            Some(Some(Bound::Edge(e))) => Some(*e),
+            _ => None,
+        }
+    }
+
+    /// Every bound vertex, in slot order.
+    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.slots.iter().filter_map(|s| match s {
+            Some(Bound::Vertex(v)) => Some(*v),
+            _ => None,
+        })
+    }
+
+    /// Every bound edge, in slot order.
+    pub fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        self.slots.iter().filter_map(|s| match s {
+            Some(Bound::Edge(e)) => Some(*e),
+            _ => None,
+        })
+    }
+
+    /// The element bound to variable `name` under `vars`: the vertex
+    /// variable of that name when bound, else the edge variable.
+    pub fn get(&self, vars: &Vars, name: &str) -> Option<Bound> {
+        vars.vertex(name)
+            .and_then(|s| self.vertex(s))
+            .map(Bound::Vertex)
+            .or_else(|| vars.edge(name).and_then(|s| self.edge(s)).map(Bound::Edge))
+    }
 }
 
 /// A declarative subgraph pattern.
@@ -155,8 +275,261 @@ pub struct Binding {
 pub struct Pattern {
     vertices: Vec<PatternVertex>,
     edges: Vec<PatternEdge>,
+    vars: Vars,
     valid_at: Option<Timestamp>,
     distinct_vertices: bool,
+}
+
+/// One depth of a compiled search order.
+#[derive(Clone, Debug)]
+struct Step {
+    /// The pattern vertex bound at this depth.
+    pv: usize,
+    /// The first pending edge that is not a pattern self-loop: the
+    /// vertex's candidates come from expanding it.
+    anchor: Option<Anchor>,
+    /// The pattern edges whose later endpoint is this depth, ascending.
+    /// They are bound here, in this nesting order (the anchor included).
+    pending: Vec<usize>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Anchor {
+    /// The anchor pattern edge.
+    edge: usize,
+    /// Its endpoint bound at an earlier depth.
+    bound: usize,
+    /// Whether `bound` is the edge's `from` vertex.
+    bound_is_from: bool,
+}
+
+/// One entry of an anchor expansion: `(neighbour, part, edge)`, where
+/// part `false`/`true` is the first/second adjacency list walked.
+/// Ascending order is candidates by id, each candidate's edges in the
+/// order `find` binds them.
+type Occurrence = (VertexId, bool, EdgeId);
+
+/// Receives each complete assignment (pattern-vertex and pattern-edge
+/// order); returns `false` to stop the search.
+trait Emit: FnMut(&[Option<VertexId>], &[Option<EdgeId>]) -> bool {}
+impl<F: FnMut(&[Option<VertexId>], &[Option<EdgeId>]) -> bool> Emit for F {}
+
+/// The backtracking state of one search: the one expansion routine
+/// behind both [`Pattern::find`] and the keyed (pinned) searches.
+struct Search<'a> {
+    p: &'a Pattern,
+    g: &'a TemporalGraph,
+    steps: Vec<Step>,
+    /// Per pattern vertex / edge: the only element it may bind (empty
+    /// slices pin nothing).
+    vpin: &'a [Option<VertexId>],
+    epin: &'a [Option<EdgeId>],
+    vbind: Vec<Option<VertexId>>,
+    ebind: Vec<Option<EdgeId>>,
+    /// Per-depth anchor expansion buffers, reused across siblings.
+    expansions: Vec<Vec<Occurrence>>,
+}
+
+impl<'a> Search<'a> {
+    fn run(
+        p: &'a Pattern,
+        g: &'a TemporalGraph,
+        order: &[usize],
+        vpin: &'a [Option<VertexId>],
+        epin: &'a [Option<EdgeId>],
+        emit: &mut impl Emit,
+    ) {
+        let mut s = Search {
+            p,
+            g,
+            steps: p.steps(order),
+            vpin,
+            epin,
+            vbind: vec![None; p.vertices.len()],
+            ebind: vec![None; p.edges.len()],
+            expansions: vec![Vec::new(); order.len()],
+        };
+        s.descend(0, emit);
+    }
+
+    /// Binds the vertex of depth `d` to each candidate in turn.
+    fn descend(&mut self, d: usize, emit: &mut impl Emit) -> bool {
+        let Some(step) = self.steps.get(d) else {
+            return emit(&self.vbind, &self.ebind);
+        };
+        let (pv, anchor, g) = (step.pv, step.anchor, self.g);
+        if let Some(a) = anchor {
+            self.expand(d, pv, a);
+            let mut i = 0;
+            while let Some(&(cand, ..)) = self.expansions[d].get(i) {
+                let end = i + self.expansions[d][i..]
+                    .iter()
+                    .take_while(|o| o.0 == cand)
+                    .count();
+                if let Ok(v) = g.vertex(cand) {
+                    if !self.try_vertex(d, v, i..end, emit) {
+                        return false;
+                    }
+                }
+                i = end;
+            }
+            return true;
+        }
+        if let Some(pin) = self.vpin.get(pv).copied().flatten() {
+            return g
+                .vertex(pin)
+                .map_or(true, |v| self.try_vertex(d, v, 0..0, emit));
+        }
+        // unanchored: seed from the label index when the pattern vertex
+        // is labelled, else the full vertex scan (exactly one of the two
+        // chained iterators is non-empty)
+        let label = self.p.vertices[pv].labels.first();
+        let labelled = label.map(|l| g.vertices_with_label(l.as_str()));
+        let all = label.is_none().then(|| g.vertices());
+        for v in labelled
+            .into_iter()
+            .flatten()
+            .chain(all.into_iter().flatten())
+        {
+            if !self.try_vertex(d, v, 0..0, emit) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Fills `expansions[d]` from one walk of the bound endpoint's
+    /// adjacency: every edge that can bind the anchor, with the
+    /// neighbour it leads to, sorted into `find`'s order. `find` binds an
+    /// edge in the order of its `from` vertex's incident list (out, then
+    /// in); seen from the bound endpoint `b`, that is out-then-in when
+    /// `b` is `from`, in-then-out otherwise. The first list holds the
+    /// forward (`Out`) edges, the second the backward (`In`) ones, and a
+    /// directed anchor walks only its own list. A graph self-loop sits in
+    /// both lists and matches either way, so it is kept twice (once per
+    /// adjacency occurrence, as [`MatchKey`] counts it), the unwalked
+    /// list's occurrence included.
+    fn expand(&mut self, d: usize, pv: usize, a: Anchor) {
+        let (p, g) = (self.p, self.g);
+        let pe = &p.edges[a.edge];
+        let b = self.vbind[a.bound].expect("anchor endpoint bound");
+        let vpin = self.vpin.get(pv).copied().flatten();
+        let epin = self.epin.get(a.edge).copied().flatten();
+        let buf = &mut self.expansions[d];
+        buf.clear();
+        let mut push = |second: bool, e: &EdgeData| {
+            let nbr = e.other(b);
+            if vpin.is_none_or(|v| v == nbr) && epin.is_none_or(|id| id == e.id) && p.edge_ok(pe, e)
+            {
+                buf.push((nbr, second, e.id));
+                if nbr == b && pe.direction != Direction::Any {
+                    buf.push((nbr, !second, e.id));
+                }
+            }
+        };
+        // which of the two lists (false = first) out(b) and in(b) are
+        let (out_part, in_part) = (!a.bound_is_from, a.bound_is_from);
+        let walks = |second: bool| match pe.direction {
+            Direction::Any => true,
+            Direction::Out => !second,
+            Direction::In => second,
+        };
+        if walks(out_part) {
+            g.out_edges(b).for_each(|e| push(out_part, e));
+        }
+        if walks(in_part) {
+            g.in_edges(b).for_each(|e| push(in_part, e));
+        }
+        buf.sort_unstable();
+    }
+
+    /// Binds depth `d`'s vertex to `v`, then its pending edges; `group`
+    /// is `v`'s range of `expansions[d]` (the anchor's candidate edges).
+    fn try_vertex(
+        &mut self,
+        d: usize,
+        v: &VertexData,
+        group: Range<usize>,
+        emit: &mut impl Emit,
+    ) -> bool {
+        let pv = self.steps[d].pv;
+        if !self.p.vertex_ok(&self.p.vertices[pv], v) {
+            return true;
+        }
+        if self.p.distinct_vertices && self.vbind.contains(&Some(v.id)) {
+            return true;
+        }
+        self.vbind[pv] = Some(v.id);
+        let go = self.bind_edges(d, 0, group, emit);
+        self.vbind[pv] = None;
+        go
+    }
+
+    /// Binds pending edge `k` of depth `d` to each candidate in turn:
+    /// the anchor from its expansion group, any other edge (a cycle
+    /// closer, a parallel pattern edge, a pattern self-loop) by scanning
+    /// its `from` vertex's incident edges.
+    fn bind_edges(
+        &mut self,
+        d: usize,
+        k: usize,
+        group: Range<usize>,
+        emit: &mut impl Emit,
+    ) -> bool {
+        let step = &self.steps[d];
+        let Some(&ei) = step.pending.get(k) else {
+            return self.descend(d + 1, emit);
+        };
+        if step.anchor.is_some_and(|a| a.edge == ei) {
+            for i in group.clone() {
+                let id = self.expansions[d][i].2;
+                if !self.try_edge(d, k, ei, id, group.clone(), emit) {
+                    return false;
+                }
+            }
+            return true;
+        }
+        let (p, g) = (self.p, self.g);
+        let pe = &p.edges[ei];
+        let from_v = self.vbind[pe.from].expect("bound");
+        let to_v = self.vbind[pe.to].expect("bound");
+        let pin = self.epin.get(ei).copied().flatten();
+        for e in g.incident_edges(from_v) {
+            let fwd = e.src == from_v && e.dst == to_v;
+            let bwd = e.src == to_v && e.dst == from_v;
+            let dir_ok = match pe.direction {
+                Direction::Out => fwd,
+                Direction::In => bwd,
+                Direction::Any => fwd || bwd,
+            };
+            if !dir_ok || pin.is_some_and(|id| id != e.id) || !p.edge_ok(pe, e) {
+                continue;
+            }
+            if !self.try_edge(d, k, ei, e.id, group.clone(), emit) {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn try_edge(
+        &mut self,
+        d: usize,
+        k: usize,
+        ei: usize,
+        id: EdgeId,
+        group: Range<usize>,
+        emit: &mut impl Emit,
+    ) -> bool {
+        // Cypher semantics: edges are used at most once per match
+        if self.ebind.contains(&Some(id)) {
+            return true;
+        }
+        self.ebind[ei] = Some(id);
+        let go = self.bind_edges(d, k + 1, group, emit);
+        self.ebind[ei] = None;
+        go
+    }
 }
 
 impl Pattern {
@@ -165,14 +538,29 @@ impl Pattern {
         Self::default()
     }
 
-    /// Adds a pattern vertex; returns its index for edge construction.
+    /// An empty pattern whose variables are numbered in (and extend)
+    /// `vars` — how a query's patterns share one slot layout.
+    pub fn with_vars(vars: Vars) -> Self {
+        Self {
+            vars,
+            ..Self::default()
+        }
+    }
+
+    /// The variable → slot table of this pattern's bindings.
+    pub fn vars(&self) -> &Vars {
+        &self.vars
+    }
+
+    /// Adds a pattern vertex bound to variable `var`; returns its index
+    /// for edge construction.
     pub fn vertex(
         &mut self,
-        var: impl Into<String>,
+        var: impl AsRef<str>,
         labels: impl IntoIterator<Item = impl Into<Label>>,
     ) -> usize {
         self.vertices.push(PatternVertex {
-            var: var.into(),
+            slot: self.vars.slot(var.as_ref(), false),
             labels: labels.into_iter().map(Into::into).collect(),
             preds: Vec::new(),
             pushed: Vec::new(),
@@ -206,7 +594,7 @@ impl Pattern {
     ) -> usize {
         assert!(from < self.vertices.len() && to < self.vertices.len());
         self.edges.push(PatternEdge {
-            var: var.map(str::to_owned),
+            slot: var.map(|v| self.vars.slot(v, true)),
             from,
             to,
             labels: labels.into_iter().map(Into::into).collect(),
@@ -271,43 +659,74 @@ impl Pattern {
     }
 
     /// Finds all matches of the pattern in `g`, visiting each via
-    /// `on_match`. Return `false` from the callback to stop early.
+    /// `on_match`. Return `false` from the callback to stop early. The
+    /// visited binding is one buffer rewritten in place per match.
     pub fn find(&self, g: &TemporalGraph, mut on_match: impl FnMut(&Binding) -> bool) {
         if self.vertices.is_empty() {
             return;
         }
-        // Order vertices: seed with the most label/pred-constrained one,
-        // then repeatedly add the vertex most connected to the chosen set.
-        let order = self.plan_order();
-        let mut vbind: Vec<Option<VertexId>> = vec![None; self.vertices.len()];
-        let mut ebind: Vec<Option<EdgeId>> = vec![None; self.edges.len()];
-        self.backtrack(g, &order, 0, &mut vbind, &mut ebind, &mut on_match);
+        let mut b = Binding::from(vec![None; self.vars.len()]);
+        Search::run(self, g, &self.plan_order(&[]), &[], &[], &mut |vb, eb| {
+            self.fill(&mut b.slots, vb, eb);
+            on_match(&b)
+        });
     }
 
-    /// Collects all matches (convenience over [`Self::find`]).
+    /// Collects all matches (convenience over [`Self::find`]); each match
+    /// is materialised once, straight from the search state.
     pub fn find_all(&self, g: &TemporalGraph) -> Vec<Binding> {
         let mut out = Vec::new();
-        self.find(g, |b| {
-            out.push(b.clone());
-            true
-        });
+        if !self.vertices.is_empty() {
+            Search::run(self, g, &self.plan_order(&[]), &[], &[], &mut |vb, eb| {
+                out.push(self.binding(vb, eb));
+                true
+            });
+        }
         out
+    }
+
+    /// Writes a complete assignment into binding slots. Every slot of
+    /// this pattern is written; a slot shared by several pattern edges
+    /// ends up holding the highest-indexed one.
+    fn fill(&self, slots: &mut [Option<Bound>], vb: &[Option<VertexId>], eb: &[Option<EdgeId>]) {
+        for (pv, v) in self.vertices.iter().zip(vb) {
+            slots[pv.slot] = v.map(Bound::Vertex);
+        }
+        for (pe, e) in self.edges.iter().zip(eb) {
+            if let Some(s) = pe.slot {
+                slots[s] = e.map(Bound::Edge);
+            }
+        }
+    }
+
+    fn binding(&self, vb: &[Option<VertexId>], eb: &[Option<EdgeId>]) -> Binding {
+        let mut slots = vec![None; self.vars.len()];
+        self.fill(&mut slots, vb, eb);
+        Binding::from(slots)
     }
 
     fn selectivity(&self, idx: usize) -> usize {
         self.vertices[idx].labels.len() * 2 + self.vertices[idx].preds.len() * 3
     }
 
-    fn plan_order(&self) -> Vec<usize> {
+    /// The search order of the pattern vertices. Unpinned (the canonical
+    /// order of [`Self::find`]): seed with the most label/pred-constrained
+    /// vertex. Pinned: start from the pinned positions, so search cost
+    /// radiates outward from the seed element. Then repeatedly add the
+    /// vertex most connected to the chosen set.
+    fn plan_order(&self, pinned: &[bool]) -> Vec<usize> {
         let n = self.vertices.len();
-        let mut order = Vec::with_capacity(n);
+        let mut order: Vec<usize> = (0..n).filter(|&i| pinned.get(i) == Some(&true)).collect();
+        if order.is_empty() {
+            let seed = (0..n)
+                .max_by_key(|&i| self.selectivity(i))
+                .expect("non-empty");
+            order.push(seed);
+        }
         let mut chosen = vec![false; n];
-        // seed: most selective vertex
-        let seed = (0..n)
-            .max_by_key(|&i| self.selectivity(i))
-            .expect("non-empty");
-        order.push(seed);
-        chosen[seed] = true;
+        for &i in &order {
+            chosen[i] = true;
+        }
         while order.len() < n {
             // prefer connected-to-chosen vertices, tie-break on selectivity
             let next = (0..n)
@@ -326,154 +745,35 @@ impl Pattern {
         order
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn backtrack(
-        &self,
-        g: &TemporalGraph,
-        order: &[usize],
-        depth: usize,
-        vbind: &mut Vec<Option<VertexId>>,
-        ebind: &mut Vec<Option<EdgeId>>,
-        on_match: &mut impl FnMut(&Binding) -> bool,
-    ) -> bool {
-        if depth == order.len() {
-            // all vertices bound; all edges were bound along the way
-            let binding = self.to_binding(vbind, ebind);
-            return on_match(&binding);
+    /// Compiles a vertex order into search steps: each pattern edge is
+    /// pending at the depth of its later endpoint, and the first pending
+    /// edge that is not a pattern self-loop anchors that depth.
+    fn steps(&self, order: &[usize]) -> Vec<Step> {
+        let mut pos = vec![0usize; self.vertices.len()];
+        for (d, &vi) in order.iter().enumerate() {
+            pos[vi] = d;
         }
-        let pv_idx = order[depth];
-        let pv = &self.vertices[pv_idx];
-
-        // candidate vertices: through an already-bound neighbour when
-        // possible, else full scan
-        let anchor = self.edges.iter().enumerate().find(|(ei, e)| {
-            ebind[*ei].is_none()
-                && ((e.from == pv_idx && vbind[e.to].is_some())
-                    || (e.to == pv_idx && vbind[e.from].is_some()))
-        });
-
-        let candidates: Vec<VertexId> = match anchor {
-            Some((_, e)) => {
-                let (bound_idx, from_side) = if e.from == pv_idx {
-                    (e.to, false)
-                } else {
-                    (e.from, true)
-                };
-                let bound_v = vbind[bound_idx].expect("anchor bound");
-                // direction as seen from the bound vertex
-                let dir = match (e.direction, from_side) {
-                    (Direction::Any, _) => Direction::Any,
-                    (Direction::Out, true) => Direction::Out, // bound is `from`
-                    (Direction::Out, false) => Direction::In, // bound is `to`
-                    (Direction::In, true) => Direction::In,
-                    (Direction::In, false) => Direction::Out,
-                };
-                let mut cs: Vec<VertexId> = match dir {
-                    Direction::Out => g.neighbors_out(bound_v).map(|(_, v)| v).collect(),
-                    Direction::In => g.neighbors_in(bound_v).map(|(_, v)| v).collect(),
-                    Direction::Any => g.neighbors(bound_v).map(|(_, v)| v).collect(),
-                };
-                cs.sort_unstable();
-                cs.dedup();
-                cs
-            }
-            // unanchored: seed from the label index when the pattern
-            // vertex is labelled, else the full vertex scan
-            None => match pv.labels.first() {
-                Some(l) => g.vertex_ids_with_label(l.as_str()),
-                None => g.vertex_ids().collect(),
-            },
-        };
-
-        for cand in candidates {
-            let Ok(vdata) = g.vertex(cand) else { continue };
-            if !self.vertex_ok(pv, vdata) {
-                continue;
-            }
-            if self.distinct_vertices && vbind.iter().flatten().any(|&b| b == cand) {
-                continue;
-            }
-            vbind[pv_idx] = Some(cand);
-            // bind every pattern edge whose endpoints are now both bound
-            if self.bind_edges(g, vbind, ebind, pv_idx, |vb, eb| {
-                self.backtrack(g, order, depth + 1, vb, eb, on_match)
-            }) {
-                vbind[pv_idx] = None;
-            } else {
-                vbind[pv_idx] = None;
-                return false; // stop requested
-            }
-        }
-        true
-    }
-
-    /// Binds all unbound pattern edges with both endpoints bound,
-    /// enumerating graph-edge choices; calls `cont` for each complete
-    /// assignment. Returns `false` if `cont` requested stop.
-    fn bind_edges(
-        &self,
-        g: &TemporalGraph,
-        vbind: &mut Vec<Option<VertexId>>,
-        ebind: &mut Vec<Option<EdgeId>>,
-        _just_bound: usize,
-        mut cont: impl FnMut(&mut Vec<Option<VertexId>>, &mut Vec<Option<EdgeId>>) -> bool,
-    ) -> bool {
-        let pending: Vec<usize> = (0..self.edges.len())
-            .filter(|&ei| {
-                ebind[ei].is_none()
-                    && vbind[self.edges[ei].from].is_some()
-                    && vbind[self.edges[ei].to].is_some()
+        let mut steps: Vec<Step> = order
+            .iter()
+            .map(|&pv| Step {
+                pv,
+                anchor: None,
+                pending: Vec::new(),
             })
             .collect();
-        self.bind_edges_rec(g, &pending, 0, vbind, ebind, &mut cont)
-    }
-
-    fn bind_edges_rec(
-        &self,
-        g: &TemporalGraph,
-        pending: &[usize],
-        k: usize,
-        vbind: &mut Vec<Option<VertexId>>,
-        ebind: &mut Vec<Option<EdgeId>>,
-        cont: &mut impl FnMut(&mut Vec<Option<VertexId>>, &mut Vec<Option<EdgeId>>) -> bool,
-    ) -> bool {
-        if k == pending.len() {
-            return cont(vbind, ebind);
-        }
-        let ei = pending[k];
-        let pe = &self.edges[ei];
-        let from_v = vbind[pe.from].expect("bound");
-        let to_v = vbind[pe.to].expect("bound");
-
-        // enumerate graph edges between from_v and to_v honouring direction
-        let candidates: Vec<EdgeId> = g
-            .incident_edges(from_v)
-            .filter(|e| {
-                let fwd = e.src == from_v && e.dst == to_v;
-                let bwd = e.src == to_v && e.dst == from_v;
-                match pe.direction {
-                    Direction::Out => fwd,
-                    Direction::In => bwd,
-                    Direction::Any => fwd || bwd,
-                }
-            })
-            .filter(|e| self.edge_ok(pe, e))
-            .map(|e| e.id)
-            .collect();
-
-        for ce in candidates {
-            // Cypher semantics: edges are used at most once per match
-            if ebind.iter().flatten().any(|&b| b == ce) {
-                continue;
-            }
-            ebind[ei] = Some(ce);
-            let keep_going = self.bind_edges_rec(g, pending, k + 1, vbind, ebind, cont);
-            ebind[ei] = None;
-            if !keep_going {
-                return false;
+        for (ei, pe) in self.edges.iter().enumerate() {
+            let step = &mut steps[pos[pe.from].max(pos[pe.to])];
+            step.pending.push(ei);
+            if step.anchor.is_none() && pe.from != pe.to {
+                let bound_is_from = pe.to == step.pv;
+                step.anchor = Some(Anchor {
+                    edge: ei,
+                    bound: if bound_is_from { pe.from } else { pe.to },
+                    bound_is_from,
+                });
             }
         }
-        true
+        steps
     }
 
     // ---- keyed matching (incremental-maintenance support) -------------
@@ -484,12 +784,7 @@ impl Pattern {
     /// occurrence gets its own key).
     pub fn find_keyed(&self, g: &TemporalGraph) -> BTreeMap<MatchKey, Binding> {
         let mut out = BTreeMap::new();
-        self.collect_keyed(
-            g,
-            &vec![None; self.vertices.len()],
-            &vec![None; self.edges.len()],
-            &mut out,
-        );
+        self.collect_keyed(g, &[], &[], &mut out);
         out
     }
 
@@ -503,11 +798,10 @@ impl Pattern {
         v: VertexId,
         out: &mut BTreeMap<MatchKey, Binding>,
     ) {
-        let epin = vec![None; self.edges.len()];
         for i in 0..self.vertices.len() {
             let mut vpin = vec![None; self.vertices.len()];
             vpin[i] = Some(v);
-            self.collect_keyed(g, &vpin, &epin, out);
+            self.collect_keyed(g, &vpin, &[], out);
         }
     }
 
@@ -548,10 +842,11 @@ impl Pattern {
         }
     }
 
-    /// Shared engine behind the keyed entry points: enumerates all
-    /// assignments honouring the pins, computes each one's canonical
-    /// key(s) post-hoc and inserts into `out` (insert-if-absent, so
-    /// overlapping pinned searches dedupe naturally).
+    /// Shared engine behind the keyed entry points: runs the search
+    /// honouring the pins in an order radiating from them, computes each
+    /// assignment's canonical key(s) post-hoc and inserts into `out`
+    /// (insert-if-absent, so overlapping pinned searches — and the
+    /// search's own second emission of a self-loop — dedupe naturally).
     fn collect_keyed(
         &self,
         g: &TemporalGraph,
@@ -562,61 +857,41 @@ impl Pattern {
         if self.vertices.is_empty() {
             return;
         }
-        let canon_order = self.plan_order();
-        let canon_slots = self.canonical_slots(&canon_order);
+        let canon = self.steps(&self.plan_order(&[]));
         let pinned: Vec<bool> = vpin.iter().map(Option::is_some).collect();
-        let order = self.plan_order_pinned(&pinned);
-        let mut vbind: Vec<Option<VertexId>> = vec![None; self.vertices.len()];
-        let mut ebind: Vec<Option<EdgeId>> = vec![None; self.edges.len()];
-        self.enumerate_pinned(
+        Search::run(
+            self,
             g,
-            &order,
-            0,
+            &self.plan_order(&pinned),
             vpin,
             epin,
-            &mut vbind,
-            &mut ebind,
             &mut |vb, eb| {
-                for key in self.canonical_keys(g, &canon_order, &canon_slots, vb, eb) {
-                    out.entry(key).or_insert_with(|| self.to_binding(vb, eb));
+                for key in self.canonical_keys(g, &canon, vb, eb) {
+                    out.entry(key).or_insert_with(|| self.binding(vb, eb));
                 }
+                true
             },
         );
     }
 
-    /// Per-depth pattern-edge slots of the canonical order: slot `ei`
-    /// belongs to the depth at which its later endpoint is bound —
-    /// exactly when [`Self::bind_edges`] picks it up during `find`.
-    fn canonical_slots(&self, order: &[usize]) -> Vec<Vec<usize>> {
-        let mut pos = vec![0usize; self.vertices.len()];
-        for (d, &vi) in order.iter().enumerate() {
-            pos[vi] = d;
-        }
-        let mut slots = vec![Vec::new(); order.len()];
-        for (ei, pe) in self.edges.iter().enumerate() {
-            slots[pos[pe.from].max(pos[pe.to])].push(ei);
-        }
-        slots
-    }
-
-    /// Computes the canonical key(s) of a complete assignment. One key
-    /// normally; 2^k keys when k slots bind graph self-loops (one per
-    /// adjacency-occurrence combination, mirroring `find`'s emissions).
+    /// Computes the canonical key(s) of a complete assignment, walking
+    /// the canonical steps: one key normally; 2^k keys when k slots bind
+    /// graph self-loops (one per adjacency-occurrence combination,
+    /// mirroring `find`'s emissions).
     fn canonical_keys(
         &self,
         g: &TemporalGraph,
-        order: &[usize],
-        slots: &[Vec<usize>],
+        canon: &[Step],
         vbind: &[Option<VertexId>],
         ebind: &[Option<EdgeId>],
     ) -> Vec<MatchKey> {
-        let mut keys: Vec<Vec<u64>> = vec![Vec::with_capacity(order.len() + self.edges.len())];
-        for (d, &vi) in order.iter().enumerate() {
-            let v = vbind[vi].expect("complete assignment");
+        let mut keys: Vec<Vec<u64>> = vec![Vec::with_capacity(canon.len() + self.edges.len())];
+        for step in canon {
+            let v = vbind[step.pv].expect("complete assignment");
             for k in &mut keys {
                 k.push(v.index() as u64);
             }
-            for &ei in &slots[d] {
+            for &ei in &step.pending {
                 let id = ebind[ei].expect("complete assignment");
                 let Ok(e) = g.edge(id) else { continue };
                 let from_v = vbind[self.edges[ei].from].expect("bound");
@@ -642,204 +917,25 @@ impl Pattern {
         }
         keys.into_iter().map(MatchKey).collect()
     }
-
-    /// [`Self::plan_order`] variant that starts from the pinned
-    /// positions so search cost radiates outward from the seed element.
-    fn plan_order_pinned(&self, pinned: &[bool]) -> Vec<usize> {
-        let n = self.vertices.len();
-        if !pinned.iter().any(|&p| p) {
-            return self.plan_order();
-        }
-        let mut order: Vec<usize> = (0..n).filter(|&i| pinned[i]).collect();
-        let mut chosen = vec![false; n];
-        for &i in &order {
-            chosen[i] = true;
-        }
-        while order.len() < n {
-            let next = (0..n)
-                .filter(|&i| !chosen[i])
-                .max_by_key(|&i| {
-                    let connected = self
-                        .edges
-                        .iter()
-                        .any(|e| (e.from == i && chosen[e.to]) || (e.to == i && chosen[e.from]));
-                    (connected as usize, self.selectivity(i))
-                })
-                .expect("remaining vertex exists");
-            order.push(next);
-            chosen[next] = true;
-        }
-        order
-    }
-
-    /// Pin-aware re-implementation of [`Self::backtrack`]: same
-    /// candidate and constraint semantics, but pinned positions/slots
-    /// restrict to the pinned element, and emission order is free (keys
-    /// are computed post-hoc, so only the match *set* matters here).
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_pinned(
-        &self,
-        g: &TemporalGraph,
-        order: &[usize],
-        depth: usize,
-        vpin: &[Option<VertexId>],
-        epin: &[Option<EdgeId>],
-        vbind: &mut Vec<Option<VertexId>>,
-        ebind: &mut Vec<Option<EdgeId>>,
-        emit: &mut impl FnMut(&[Option<VertexId>], &[Option<EdgeId>]),
-    ) {
-        if depth == order.len() {
-            emit(vbind, ebind);
-            return;
-        }
-        let pv_idx = order[depth];
-        let pv = &self.vertices[pv_idx];
-
-        let candidates: Vec<VertexId> = if let Some(pin) = vpin[pv_idx] {
-            vec![pin]
-        } else {
-            let anchor = self.edges.iter().enumerate().find(|(ei, e)| {
-                ebind[*ei].is_none()
-                    && ((e.from == pv_idx && vbind[e.to].is_some())
-                        || (e.to == pv_idx && vbind[e.from].is_some()))
-            });
-            match anchor {
-                Some((_, e)) => {
-                    let (bound_idx, from_side) = if e.from == pv_idx {
-                        (e.to, false)
-                    } else {
-                        (e.from, true)
-                    };
-                    let bound_v = vbind[bound_idx].expect("anchor bound");
-                    let dir = match (e.direction, from_side) {
-                        (Direction::Any, _) => Direction::Any,
-                        (Direction::Out, true) => Direction::Out,
-                        (Direction::Out, false) => Direction::In,
-                        (Direction::In, true) => Direction::In,
-                        (Direction::In, false) => Direction::Out,
-                    };
-                    let mut cs: Vec<VertexId> = match dir {
-                        Direction::Out => g.neighbors_out(bound_v).map(|(_, v)| v).collect(),
-                        Direction::In => g.neighbors_in(bound_v).map(|(_, v)| v).collect(),
-                        Direction::Any => g.neighbors(bound_v).map(|(_, v)| v).collect(),
-                    };
-                    cs.sort_unstable();
-                    cs.dedup();
-                    cs
-                }
-                None => match pv.labels.first() {
-                    Some(l) => g.vertex_ids_with_label(l.as_str()),
-                    None => g.vertex_ids().collect(),
-                },
-            }
-        };
-
-        for cand in candidates {
-            let Ok(vdata) = g.vertex(cand) else { continue };
-            if !self.vertex_ok(pv, vdata) {
-                continue;
-            }
-            if self.distinct_vertices && vbind.iter().flatten().any(|&b| b == cand) {
-                continue;
-            }
-            vbind[pv_idx] = Some(cand);
-            let pending: Vec<usize> = (0..self.edges.len())
-                .filter(|&ei| {
-                    ebind[ei].is_none()
-                        && vbind[self.edges[ei].from].is_some()
-                        && vbind[self.edges[ei].to].is_some()
-                })
-                .collect();
-            self.bind_pinned(g, order, depth, &pending, 0, vpin, epin, vbind, ebind, emit);
-            vbind[pv_idx] = None;
-        }
-    }
-
-    /// Pin-aware twin of [`Self::bind_edges_rec`]. Candidates are
-    /// deduped (a self-loop shows up in both adjacency lists); the
-    /// occurrence multiplicity is restored by [`Self::canonical_keys`].
-    #[allow(clippy::too_many_arguments)]
-    fn bind_pinned(
-        &self,
-        g: &TemporalGraph,
-        order: &[usize],
-        depth: usize,
-        pending: &[usize],
-        k: usize,
-        vpin: &[Option<VertexId>],
-        epin: &[Option<EdgeId>],
-        vbind: &mut Vec<Option<VertexId>>,
-        ebind: &mut Vec<Option<EdgeId>>,
-        emit: &mut impl FnMut(&[Option<VertexId>], &[Option<EdgeId>]),
-    ) {
-        if k == pending.len() {
-            self.enumerate_pinned(g, order, depth + 1, vpin, epin, vbind, ebind, emit);
-            return;
-        }
-        let ei = pending[k];
-        let pe = &self.edges[ei];
-        let from_v = vbind[pe.from].expect("bound");
-        let to_v = vbind[pe.to].expect("bound");
-
-        let mut candidates: Vec<EdgeId> = match epin[ei] {
-            Some(pin) => vec![pin],
-            None => g.incident_edges(from_v).map(|e| e.id).collect(),
-        };
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        for ce in candidates {
-            let Ok(e) = g.edge(ce) else { continue };
-            let fwd = e.src == from_v && e.dst == to_v;
-            let bwd = e.src == to_v && e.dst == from_v;
-            let dir_ok = match pe.direction {
-                Direction::Out => fwd,
-                Direction::In => bwd,
-                Direction::Any => fwd || bwd,
-            };
-            if !dir_ok || !self.edge_ok(pe, e) {
-                continue;
-            }
-            if ebind.iter().flatten().any(|&b| b == ce) {
-                continue;
-            }
-            ebind[ei] = Some(ce);
-            self.bind_pinned(
-                g,
-                order,
-                depth,
-                pending,
-                k + 1,
-                vpin,
-                epin,
-                vbind,
-                ebind,
-                emit,
-            );
-            ebind[ei] = None;
-        }
-    }
-
-    fn to_binding(&self, vbind: &[Option<VertexId>], ebind: &[Option<EdgeId>]) -> Binding {
-        let mut b = Binding::default();
-        for (pv, bound) in self.vertices.iter().zip(vbind) {
-            if let Some(v) = bound {
-                b.vertices.insert(pv.var.clone(), *v);
-            }
-        }
-        for (pe, bound) in self.edges.iter().zip(ebind) {
-            if let (Some(var), Some(e)) = (&pe.var, bound) {
-                b.edges.insert(var.clone(), *e);
-            }
-        }
-        b
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hygraph_types::{props, Interval};
+    use std::collections::HashMap;
+
+    /// The vertex `b` binds to variable `name` of `p`.
+    fn vx(p: &Pattern, b: &Binding, name: &str) -> VertexId {
+        b.vertex(p.vars().vertex(name).expect("vertex var"))
+            .expect("bound vertex")
+    }
+
+    /// The edge `b` binds to variable `name` of `p`.
+    fn ex(p: &Pattern, b: &Binding, name: &str) -> EdgeId {
+        b.edge(p.vars().edge(name).expect("edge var"))
+            .expect("bound edge")
+    }
 
     fn ts(ms: i64) -> Timestamp {
         Timestamp::from_millis(ms)
@@ -901,8 +997,8 @@ mod tests {
             "two high-amount transactions, both by user1"
         );
         for b in &matches {
-            assert_eq!(b.vertices["u"], ids["u1"]);
-            assert!(b.edges.contains_key("t"));
+            assert_eq!(vx(&p, b, "u"), ids["u1"]);
+            ex(&p, b, "t");
         }
     }
 
@@ -914,7 +1010,7 @@ mod tests {
         p.vertex_pred(u, PropPredicate::new("name", CmpOp::Eq, "user2"));
         let matches = p.find_all(&g);
         assert_eq!(matches.len(), 1);
-        assert_eq!(matches[0].vertices["u"], ids["u2"]);
+        assert_eq!(vx(&p, &matches[0], "u"), ids["u2"]);
     }
 
     #[test]
@@ -925,7 +1021,7 @@ mod tests {
         let m = p.vertex("m", ["Merchant"]);
         let c = p.vertex("c", ["CreditCard"]);
         p.edge(None, m, c, ["TX"], Direction::In);
-        let ms: Vec<VertexId> = p.find_all(&g).iter().map(|b| b.vertices["m"]).collect();
+        let ms: Vec<VertexId> = p.find_all(&g).iter().map(|b| vx(&p, b, "m")).collect();
         assert_eq!(ms.len(), 3);
         assert!(ms.contains(&ids["m1"]) && ms.contains(&ids["m2"]));
         // wrong direction yields nothing
@@ -957,8 +1053,8 @@ mod tests {
         // only card1 has two TX edges; ordered pairs (m1,m2) and (m2,m1)
         assert_eq!(matches.len(), 2);
         for b in &matches {
-            assert_eq!(b.vertices["c"], ids["c1"]);
-            assert_ne!(b.edges["t1"], b.edges["t2"]);
+            assert_eq!(vx(&p, b, "c"), ids["c1"]);
+            assert_ne!(ex(&p, b, "t1"), ex(&p, b, "t2"));
         }
     }
 
@@ -1016,7 +1112,7 @@ mod tests {
         p.edge(None, u, c, ["USES"], Direction::Out);
         p.edge(None, c, m, ["TX"], Direction::Out);
         let matches = p.find_all(&g);
-        let users: Vec<VertexId> = matches.iter().map(|b| b.vertices["u"]).collect();
+        let users: Vec<VertexId> = matches.iter().map(|b| vx(&p, b, "u")).collect();
         assert_eq!(users.len(), 2, "both users transact with m1");
         assert!(users.contains(&ids["u1"]) && users.contains(&ids["u2"]));
     }
@@ -1117,7 +1213,7 @@ mod tests {
         let loops = p
             .find_all(&g)
             .iter()
-            .filter(|m| m.vertices["x"] == a && m.vertices["y"] == a)
+            .filter(|m| vx(&p, m, "x") == a && vx(&p, m, "y") == a)
             .count();
         assert_eq!(loops, 2, "self-loop emitted once per adjacency occurrence");
     }
@@ -1169,6 +1265,38 @@ mod tests {
             // sanity: growth actually added matches, and none vanished
             assert!(after.len() > before.len());
             assert!(before.keys().all(|k| after.contains_key(k)));
+        }
+    }
+
+    /// A vertex and an edge variable of one name get separate slots and
+    /// name lookup prefers the vertex; two pattern edges sharing a
+    /// variable leave the higher-indexed one's match in its slot.
+    #[test]
+    fn slots_resolve_names_like_the_variable_maps_did() {
+        let mut g = TemporalGraph::new();
+        let a = g.add_vertex(["A"], props! {});
+        let b = g.add_vertex(["B"], props! {});
+        let e0 = g.add_edge(a, b, ["E"], props! {}).unwrap();
+        let e1 = g.add_edge(a, b, ["E"], props! {}).unwrap();
+        let mut p = Pattern::new();
+        let x = p.vertex("x", ["A"]);
+        let y = p.vertex("y", ["B"]);
+        p.edge(Some("x"), x, y, ["E"], Direction::Out);
+        p.edge(Some("x"), x, y, ["E"], Direction::Out);
+        let vars = p.vars();
+        assert_eq!(vars.len(), 3, "vertex x, vertex y, edge x");
+        assert_ne!(vars.vertex("x"), vars.edge("x"));
+        let matches = p.find_all(&g);
+        let in_slot: Vec<EdgeId> = matches.iter().map(|m| ex(&p, m, "x")).collect();
+        assert_eq!(
+            in_slot,
+            vec![e1, e0],
+            "(e0, e1) then (e1, e0): the second edge's"
+        );
+        for m in &matches {
+            assert_eq!(m.get(vars, "x"), Some(Bound::Vertex(a)));
+            assert_eq!(m.get(vars, "y"), Some(Bound::Vertex(b)));
+            assert!(m.get(vars, "nope").is_none());
         }
     }
 

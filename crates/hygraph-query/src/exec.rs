@@ -5,7 +5,7 @@ use crate::ast::{
     AggFunc, BinOp, EdgeDir, Expr, OrderItem, Query, ReturnItem, RowAggFunc, SeriesRef,
 };
 use hygraph_core::{ElementRef, HyGraph};
-use hygraph_graph::pattern::Binding;
+use hygraph_graph::pattern::{Binding, Bound, Vars};
 use hygraph_graph::{Direction, Pattern};
 use hygraph_ts::store::AggKind;
 use hygraph_types::parallel::{should_parallelize, ExecMode};
@@ -204,7 +204,7 @@ pub fn execute_interpreted_mode(hg: &HyGraph, q: &Query, mode: ExecMode) -> Resu
         }
     }
     let grouped = q.having.is_some() || q.returns.iter().any(|r| contains_rowagg(&r.expr));
-    let patterns = compile_patterns(q, &[])?;
+    let (patterns, vars) = compile_patterns(q, &[])?;
     // one materialised binding list, in pattern-then-match order —
     // identical to the order the streaming visitor would see
     let bindings: Vec<Binding> = patterns
@@ -213,9 +213,9 @@ pub fn execute_interpreted_mode(hg: &HyGraph, q: &Query, mode: ExecMode) -> Resu
         .collect();
     let columns: Vec<String> = q.returns.iter().map(|r| r.alias.clone()).collect();
     let mut rows = if grouped {
-        execute_grouped(hg, q, &bindings, mode)?
+        execute_grouped(hg, q, &vars, &bindings, mode)?
     } else {
-        execute_flat(hg, q, &bindings, mode)?
+        execute_flat(hg, q, &vars, &bindings, mode)?
     };
 
     if q.distinct {
@@ -236,10 +236,17 @@ pub fn execute_interpreted_mode(hg: &HyGraph, q: &Query, mode: ExecMode) -> Resu
     Ok(QueryResult { columns, rows })
 }
 
-fn execute_flat(hg: &HyGraph, q: &Query, bindings: &[Binding], mode: ExecMode) -> Result<Vec<Row>> {
+fn execute_flat(
+    hg: &HyGraph,
+    q: &Query,
+    vars: &Vars,
+    bindings: &[Binding],
+    mode: ExecMode,
+) -> Result<Vec<Row>> {
     let eval_one = |binding: &Binding| -> Result<Option<Row>> {
         let ctx = EvalCtx {
             hg,
+            vars,
             binding,
             agg_cache: None,
             local_agg: None,
@@ -416,6 +423,7 @@ pub(crate) fn eval_final(
 fn execute_grouped(
     hg: &HyGraph,
     q: &Query,
+    vars: &Vars,
     bindings: &[Binding],
     mode: ExecMode,
 ) -> Result<Vec<Row>> {
@@ -442,6 +450,7 @@ fn execute_grouped(
     let eval_one = |binding: &Binding| -> Result<KeyedArgs> {
         let ctx = EvalCtx {
             hg,
+            vars,
             binding,
             agg_cache: None,
             local_agg: None,
@@ -585,10 +594,14 @@ pub(crate) fn sort_rows(rows: &mut [Row], columns: &[String], order: &[OrderItem
 /// matching; they are installed as pushed-down predicates (invisible to
 /// the matcher's selectivity ordering) on the vertex or edge bound to
 /// each predicate's variable. The legacy interpreter passes `&[]`.
+///
+/// The query's variables are numbered once, into the returned [`Vars`]:
+/// every expansion's pattern writes its matches into those shared
+/// binding slots (the intermediates of each expansion get slots too).
 pub(crate) fn compile_patterns(
     q: &Query,
     pushed: &[crate::plan::PushedPred],
-) -> Result<Vec<Pattern>> {
+) -> Result<(Vec<Pattern>, Vars)> {
     // hop-count choices for every var-length edge, in query order
     let ranges: Vec<(usize, usize)> = q
         .patterns
@@ -614,20 +627,24 @@ pub(crate) fn compile_patterns(
         }
         assignments = next;
     }
-    assignments
-        .into_iter()
-        .map(|a| compile_one(q, &a, pushed))
-        .collect()
+    let mut vars = Vars::new();
+    let patterns = assignments
+        .iter()
+        .map(|a| compile_one(q, a, pushed, &mut vars))
+        .collect::<Result<_>>()?;
+    Ok((patterns, vars))
 }
 
 /// Builds one pattern with the given hop-length assignment (one entry
-/// per var-length edge, in query order).
+/// per var-length edge, in query order), numbering its variables in
+/// (and extending) `vars`.
 fn compile_one(
     q: &Query,
     lengths: &[usize],
     pushed: &[crate::plan::PushedPred],
+    vars: &mut Vars,
 ) -> Result<Pattern> {
-    let mut pattern = Pattern::new();
+    let mut pattern = Pattern::with_vars(std::mem::take(vars));
     let mut var_index: HashMap<String, usize> = HashMap::new();
     // edge vars in declaration order; only plain (1,1) edges carry a
     // user-visible variable, so duplicates cannot arise here
@@ -647,7 +664,7 @@ fn compile_one(
                 idx
             }
             None => {
-                let idx = pattern.vertex(node.var.clone(), node.labels.iter().map(String::as_str));
+                let idx = pattern.vertex(&node.var, node.labels.iter().map(String::as_str));
                 var_index.insert(node.var.clone(), idx);
                 idx
             }
@@ -732,6 +749,7 @@ fn compile_one(
             )));
         }
     }
+    *vars = pattern.vars().clone();
     Ok(pattern)
 }
 
@@ -747,6 +765,8 @@ pub(crate) type LocalAggCache = std::cell::Cell<
 
 pub(crate) struct EvalCtx<'a> {
     pub(crate) hg: &'a HyGraph,
+    /// The query's variable → binding-slot table.
+    pub(crate) vars: &'a Vars,
     pub(crate) binding: &'a Binding,
     /// Optional shared series-aggregate memoization table (planner path,
     /// fan-out patterns); `None` reproduces the legacy interpreter's
@@ -759,15 +779,19 @@ pub(crate) struct EvalCtx<'a> {
     pub(crate) local_agg: Option<&'a LocalAggCache>,
 }
 
+/// The element `binding` holds for variable `var`: its vertex slot when
+/// bound, else its edge slot.
+pub(crate) fn bound_element(vars: &Vars, binding: &Binding, var: &str) -> Option<ElementRef> {
+    Some(match binding.get(vars, var)? {
+        Bound::Vertex(v) => ElementRef::Vertex(v),
+        Bound::Edge(e) => ElementRef::Edge(e),
+    })
+}
+
 impl EvalCtx<'_> {
     pub(crate) fn element(&self, var: &str) -> Result<ElementRef> {
-        if let Some(&v) = self.binding.vertices.get(var) {
-            Ok(ElementRef::Vertex(v))
-        } else if let Some(&e) = self.binding.edges.get(var) {
-            Ok(ElementRef::Edge(e))
-        } else {
-            Err(HyGraphError::query(format!("unbound variable '{var}'")))
-        }
+        bound_element(self.vars, self.binding, var)
+            .ok_or_else(|| HyGraphError::query(format!("unbound variable '{var}'")))
     }
 
     pub(crate) fn eval(&self, expr: &Expr) -> Result<Value> {

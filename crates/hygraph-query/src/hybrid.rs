@@ -78,8 +78,9 @@ pub fn hybrid_match(hg: &HyGraph, spec: &HybridMatchSpec) -> Vec<HybridMatch> {
 pub fn hybrid_match_mode(hg: &HyGraph, spec: &HybridMatchSpec, mode: ExecMode) -> Vec<HybridMatch> {
     let _t = OpTimer::new(OpClass::Q1Match);
     let bindings = spec.pattern.find_all(hg.topology());
+    let slot = spec.pattern.vars().vertex(&spec.series_var);
     let eval_one = |binding: &Binding| -> Option<HybridMatch> {
-        let &v = binding.vertices.get(&spec.series_var)?;
+        let v = binding.vertex(slot?)?;
         let series = vertex_series(hg, v)?;
         let m = subsequence::best_match(&series, &spec.shape)?;
         (m.distance <= spec.max_dist).then(|| HybridMatch {
@@ -316,7 +317,8 @@ mod tests {
         };
         let matches = hybrid_match(&hg, &spec);
         assert_eq!(matches.len(), 1, "only the bumped card matches the shape");
-        assert_eq!(matches[0].binding.vertices["c"], c1);
+        let c_slot = spec.pattern.vars().vertex("c").unwrap();
+        assert_eq!(matches[0].binding.vertex(c_slot), Some(c1));
         assert!((60..=120).contains(&matches[0].shape_match.offset));
     }
 
@@ -443,7 +445,7 @@ mod tests {
         assert!(!m_seq.is_empty(), "fixture must produce Q1 matches");
         assert_eq!(m_seq.len(), m_par.len());
         for (s, p) in m_seq.iter().zip(&m_par) {
-            assert_eq!(s.binding.vertices, p.binding.vertices);
+            assert_eq!(s.binding, p.binding);
             assert_eq!(s.shape_match.offset, p.shape_match.offset);
             assert_eq!(
                 s.shape_match.distance.to_bits(),

@@ -31,11 +31,11 @@
 //! [`execute_planned`]: crate::execute_planned
 
 use crate::ast::{Expr, ReturnItem, SeriesRef};
-use crate::exec::{EvalCtx, LocalAggCache, QueryResult, Row};
+use crate::exec::{bound_element, EvalCtx, LocalAggCache, QueryResult, Row};
 use crate::physical::PlannedQuery;
 use crate::plan::LogicalPlan;
-use hygraph_core::{ElementRef, HyGraph};
-use hygraph_graph::pattern::{Binding, MatchKey};
+use hygraph_core::HyGraph;
+use hygraph_graph::pattern::{Binding, MatchKey, Vars};
 use hygraph_types::bytes::{ByteReader, ByteWriter};
 use hygraph_types::{EdgeId, HyGraphError, Result, SeriesId, VertexId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -513,6 +513,7 @@ fn eval_binding(planned: &PlannedQuery, hg: &HyGraph, binding: &Binding) -> Resu
     let local = LocalAggCache::default();
     let ctx = EvalCtx {
         hg,
+        vars: &planned.vars,
         binding,
         agg_cache: None,
         local_agg: Some(&local),
@@ -534,21 +535,13 @@ fn eval_binding(planned: &PlannedQuery, hg: &HyGraph, binding: &Binding) -> Resu
 /// resolution rules. Unresolvable references contribute nothing — their
 /// evaluation is Null regardless of appended points.
 fn series_deps(planned: &PlannedQuery, hg: &HyGraph, binding: &Binding) -> Vec<SeriesId> {
-    fn element(binding: &Binding, var: &str) -> Option<ElementRef> {
-        if let Some(&v) = binding.vertices.get(var) {
-            Some(ElementRef::Vertex(v))
-        } else {
-            binding.edges.get(var).map(|&e| ElementRef::Edge(e))
-        }
-    }
-    fn walk(e: &Expr, hg: &HyGraph, binding: &Binding, out: &mut Vec<SeriesId>) {
+    fn walk(e: &Expr, hg: &HyGraph, vars: &Vars, binding: &Binding, out: &mut Vec<SeriesId>) {
+        let element = |var: &str| bound_element(vars, binding, var);
         match e {
             Expr::Agg { series, .. } => {
                 let sid = match series {
-                    SeriesRef::Delta(var) => {
-                        element(binding, var).and_then(|el| hg.delta_id(el).ok())
-                    }
-                    SeriesRef::Property { var, key } => element(binding, var)
+                    SeriesRef::Delta(var) => element(var).and_then(|el| hg.delta_id(el).ok()),
+                    SeriesRef::Property { var, key } => element(var)
                         .and_then(|el| hg.props(el).ok())
                         .and_then(|p| p.series_value(key)),
                 };
@@ -556,22 +549,23 @@ fn series_deps(planned: &PlannedQuery, hg: &HyGraph, binding: &Binding) -> Vec<S
                     out.push(sid);
                 }
             }
-            Expr::Not(i) => walk(i, hg, binding, out),
+            Expr::Not(i) => walk(i, hg, vars, binding, out),
             Expr::Binary { lhs, rhs, .. } => {
-                walk(lhs, hg, binding, out);
-                walk(rhs, hg, binding, out);
+                walk(lhs, hg, vars, binding, out);
+                walk(rhs, hg, vars, binding, out);
             }
-            Expr::RowAgg { arg: Some(a), .. } => walk(a, hg, binding, out),
+            Expr::RowAgg { arg: Some(a), .. } => walk(a, hg, vars, binding, out),
             _ => {}
         }
     }
     let q = &planned.plan.query;
     let mut out = Vec::new();
+    let vars = &planned.vars;
     if let Some(f) = &q.filter {
-        walk(f, hg, binding, &mut out);
+        walk(f, hg, vars, binding, &mut out);
     }
     for r in &q.returns {
-        walk(&r.expr, hg, binding, &mut out);
+        walk(&r.expr, hg, vars, binding, &mut out);
     }
     out
 }
@@ -581,7 +575,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::physical::{execute_planned, plan_query};
-    use hygraph_core::HyGraphBuilder;
+    use hygraph_core::{ElementRef, HyGraphBuilder};
     use hygraph_ts::TimeSeries;
     use hygraph_types::parallel::ExecMode;
     use hygraph_types::{props, Duration, Timestamp};

@@ -235,10 +235,11 @@ fn execute_epochs_inner(
         .map(|r| r.alias.clone())
         .collect();
     let mut rows: Vec<Row> = Vec::new();
+    let mut seen = physical::RowIndex::default();
     for g in states {
         let r = run_one(g, planned, mode, router)?;
         for row in r.rows {
-            if !rows.iter().any(|seen| exec::rows_equal(seen, &row)) {
+            if seen.first_equal(&rows, &row).is_none() {
                 rows.push(row);
             }
         }

@@ -17,12 +17,14 @@ use crate::exec::{
 use crate::optimize::optimize;
 use crate::plan::{lower, LogicalPlan};
 use hygraph_core::HyGraph;
-use hygraph_graph::pattern::Binding;
+use hygraph_graph::pattern::{Binding, Vars};
 use hygraph_graph::Pattern;
 use hygraph_metrics::PlanOp;
 use hygraph_types::parallel::{should_parallelize, ExecMode};
 use hygraph_types::{HyGraphError, Result, Value};
 use rayon::prelude::*;
+use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Instant;
 
 /// An optimized, compiled, data-independent execution plan — the unit
@@ -33,6 +35,9 @@ pub struct PlannedQuery {
     pub plan: LogicalPlan,
     /// Compiled match patterns (one per variable-length expansion).
     pub patterns: Vec<Pattern>,
+    /// The query's variable → binding-slot table, shared by every
+    /// pattern in `patterns`.
+    pub vars: Vars,
 }
 
 /// Plans a parsed query: validates, lowers, optimizes, and compiles
@@ -47,8 +52,12 @@ pub fn plan_query(q: &Query) -> Result<PlannedQuery> {
         }
     }
     let plan = optimize(lower(q));
-    let patterns = compile_patterns(&plan.query, &plan.pushed)?;
-    Ok(PlannedQuery { plan, patterns })
+    let (patterns, vars) = compile_patterns(&plan.query, &plan.pushed)?;
+    Ok(PlannedQuery {
+        plan,
+        patterns,
+        vars,
+    })
 }
 
 pub(crate) fn op_start() -> Option<Instant> {
@@ -86,10 +95,16 @@ pub fn execute_planned(
 
     let columns: Vec<String> = q.returns.iter().map(|r| r.alias.clone()).collect();
     let cache = plan.memoize_aggs.then(AggCache::default);
+    let ctx = RowCtx {
+        hg,
+        q,
+        vars: &planned.vars,
+        cache: cache.as_ref(),
+    };
     let mut rows = if plan.grouped {
-        run_grouped(hg, q, &bindings, mode, cache.as_ref())?
+        run_grouped(&ctx, &bindings, mode)?
     } else {
-        run_flat(hg, q, &bindings, mode, cache.as_ref())?
+        run_flat(&ctx, &bindings, mode)?
     };
 
     finish_rows(q, &columns, &mut rows)?;
@@ -103,15 +118,7 @@ pub fn execute_planned(
 pub(crate) fn finish_rows(q: &Query, columns: &[String], rows: &mut Vec<Row>) -> Result<()> {
     if q.distinct {
         let t = op_start();
-        let mut seen: Vec<Row> = Vec::new();
-        rows.retain(|r| {
-            if seen.iter().any(|s| rows_equal(s, r)) {
-                false
-            } else {
-                seen.push(r.clone());
-                true
-            }
-        });
+        distinct_rows(rows);
         record_op(PlanOp::Distinct, t, rows.len());
     }
     if !q.order_by.is_empty() {
@@ -127,23 +134,96 @@ pub(crate) fn finish_rows(q: &Query, columns: &[String], rows: &mut Vec<Row>) ->
     Ok(())
 }
 
+/// A hash of `row` that agrees with [`rows_equal`]: rows it calls equal
+/// hash equal. `Value::total_cmp` equates `Int(i)` with `Float(f)` when
+/// `i as f64` and `f` have the same bits, so every numeric hashes as its
+/// `f64` bits; `-0.0` and `0.0` (unequal there) may hash apart.
+fn row_hash(row: &Row) -> u64 {
+    let mut h = DefaultHasher::new();
+    row.len().hash(&mut h);
+    for v in row {
+        match v {
+            Value::Null => 0u8.hash(&mut h),
+            Value::Bool(b) => (1u8, b).hash(&mut h),
+            Value::Int(i) => (2u8, (*i as f64).to_bits()).hash(&mut h),
+            Value::Float(f) => (2u8, f.to_bits()).hash(&mut h),
+            Value::Str(s) => (3u8, s).hash(&mut h),
+            Value::Time(t) => (4u8, t).hash(&mut h),
+            Value::Span(d) => (5u8, d).hash(&mut h),
+        }
+    }
+    h.finish()
+}
+
+/// A hash index over an append-only row list, answering "the first
+/// earlier row `rows_equal` to this one" in expected O(1) instead of a
+/// linear scan. Buckets keep insertion order, and every row equal to a
+/// probe shares its bucket, so the answer is the linear scan's.
+#[derive(Default)]
+pub(crate) struct RowIndex(HashMap<u64, Vec<usize>>);
+
+impl RowIndex {
+    /// The position in `rows` of the first row equal to `row`. On a
+    /// miss, records `row` at position `rows.len()`: the caller must
+    /// push it next.
+    pub(crate) fn first_equal(&mut self, rows: &[Row], row: &Row) -> Option<usize> {
+        let bucket = self.0.entry(row_hash(row)).or_default();
+        let hit = bucket.iter().copied().find(|&i| rows_equal(&rows[i], row));
+        if hit.is_none() {
+            bucket.push(rows.len());
+        }
+        hit
+    }
+}
+
+/// `RETURN DISTINCT`: drops every row equal to an earlier kept row,
+/// keeping order.
+pub(crate) fn distinct_rows(rows: &mut Vec<Row>) {
+    let mut index = RowIndex::default();
+    let mut kept: Vec<Row> = Vec::with_capacity(rows.len());
+    for r in rows.drain(..) {
+        if index.first_equal(&kept, &r).is_none() {
+            kept.push(r);
+        }
+    }
+    *rows = kept;
+}
+
+/// What per-binding evaluation reads besides the binding itself: the
+/// shared inputs of the Filter, Project and Aggregate operators.
+#[derive(Clone, Copy)]
+pub(crate) struct RowCtx<'a> {
+    pub(crate) hg: &'a HyGraph,
+    pub(crate) q: &'a Query,
+    /// The query's variable → binding-slot table.
+    pub(crate) vars: &'a Vars,
+    /// The shared series-aggregate memo table, when the plan memoizes.
+    pub(crate) cache: Option<&'a AggCache>,
+}
+
+impl<'a> RowCtx<'a> {
+    fn eval_ctx(&self, binding: &'a Binding, local: &'a LocalAggCache) -> EvalCtx<'a> {
+        EvalCtx {
+            hg: self.hg,
+            vars: self.vars,
+            binding,
+            agg_cache: self.cache,
+            local_agg: Some(local),
+        }
+    }
+}
+
 /// Evaluates the residual filter over every binding, returning one
 /// `Result<bool>` per binding (aligned by index). All bindings are
 /// evaluated — no short-circuit — matching the interpreter, which
 /// collects every per-binding result before scanning for the first
 /// error.
-pub(crate) fn filter_stage(
-    hg: &HyGraph,
-    q: &Query,
-    bindings: &[Binding],
-    par: bool,
-    cache: Option<&AggCache>,
-) -> Vec<Result<bool>> {
-    match &q.filter {
+pub(crate) fn filter_stage(rc: &RowCtx<'_>, bindings: &[Binding], par: bool) -> Vec<Result<bool>> {
+    match &rc.q.filter {
         None => (0..bindings.len()).map(|_| Ok(true)).collect(),
         Some(_) => {
             let t = op_start();
-            let eval = |binding: &Binding| -> Result<bool> { eval_filter(hg, q, cache, binding) };
+            let eval = |binding: &Binding| -> Result<bool> { eval_filter(rc, binding) };
             let results: Vec<Result<bool>> = if par {
                 bindings.par_iter().map(eval).collect()
             } else {
@@ -159,53 +239,26 @@ pub(crate) fn filter_stage(
 /// Evaluates the residual WHERE filter for one binding — the per-row
 /// unit of the Filter operator, shared with the scatter-gather
 /// executor. Callers guarantee `q.filter` is `Some`.
-pub(crate) fn eval_filter(
-    hg: &HyGraph,
-    q: &Query,
-    cache: Option<&AggCache>,
-    binding: &Binding,
-) -> Result<bool> {
-    let filter = q.filter.as_ref().expect("caller checked q.filter");
+pub(crate) fn eval_filter(rc: &RowCtx<'_>, binding: &Binding) -> Result<bool> {
+    let filter = rc.q.filter.as_ref().expect("caller checked q.filter");
     let local = LocalAggCache::default();
-    let ctx = EvalCtx {
-        hg,
-        binding,
-        agg_cache: cache,
-        local_agg: Some(&local),
-    };
-    Ok(ctx.eval(filter)?.as_bool() == Some(true))
+    Ok(rc.eval_ctx(binding, &local).eval(filter)?.as_bool() == Some(true))
 }
 
 /// Evaluates the RETURN projection for one binding — the per-row unit
 /// of the Project operator, shared with the scatter-gather executor.
-pub(crate) fn project_row(
-    hg: &HyGraph,
-    q: &Query,
-    cache: Option<&AggCache>,
-    binding: &Binding,
-) -> Result<Row> {
+pub(crate) fn project_row(rc: &RowCtx<'_>, binding: &Binding) -> Result<Row> {
     let local = LocalAggCache::default();
-    let ctx = EvalCtx {
-        hg,
-        binding,
-        agg_cache: cache,
-        local_agg: Some(&local),
-    };
-    q.returns
+    let ctx = rc.eval_ctx(binding, &local);
+    rc.q.returns
         .iter()
         .map(|ReturnItem { expr, .. }| ctx.eval(expr))
         .collect()
 }
 
-fn run_flat(
-    hg: &HyGraph,
-    q: &Query,
-    bindings: &[Binding],
-    mode: ExecMode,
-    cache: Option<&AggCache>,
-) -> Result<Vec<Row>> {
+fn run_flat(rc: &RowCtx<'_>, bindings: &[Binding], mode: ExecMode) -> Result<Vec<Row>> {
     let par = should_parallelize(mode, bindings.len());
-    let filter_pass = filter_stage(hg, q, bindings, par, cache);
+    let filter_pass = filter_stage(rc, bindings, par);
 
     let t = op_start();
     let passing: Vec<&Binding> = bindings
@@ -214,7 +267,7 @@ fn run_flat(
         .filter(|(_, r)| matches!(r, Ok(true)))
         .map(|(b, _)| b)
         .collect();
-    let project = |binding: &&Binding| -> Result<Row> { project_row(hg, q, cache, binding) };
+    let project = |binding: &&Binding| -> Result<Row> { project_row(rc, binding) };
     let projected: Vec<Result<Row>> = if par {
         passing.par_iter().map(project).collect()
     } else {
@@ -272,22 +325,15 @@ pub(crate) fn grouping_layout(q: &Query) -> GroupingLayout {
 /// parallelisable pure work of the Aggregate operator; keys before
 /// args, matching the interpreter's per-binding order.
 pub(crate) fn eval_key_args(
-    hg: &HyGraph,
-    q: &Query,
+    rc: &RowCtx<'_>,
     layout: &GroupingLayout,
-    cache: Option<&AggCache>,
     binding: &Binding,
 ) -> Result<(Row, Vec<Value>)> {
     let local = LocalAggCache::default();
-    let ctx = EvalCtx {
-        hg,
-        binding,
-        agg_cache: cache,
-        local_agg: Some(&local),
-    };
+    let ctx = rc.eval_ctx(binding, &local);
     let mut key = Vec::with_capacity(layout.key_items.len());
     for &i in &layout.key_items {
-        key.push(ctx.eval(&q.returns[i].expr)?);
+        key.push(ctx.eval(&rc.q.returns[i].expr)?);
     }
     let mut args = Vec::with_capacity(layout.specs.len());
     for spec in &layout.specs {
@@ -312,45 +358,37 @@ pub(crate) fn fold_groups(
     evaluated: Vec<Result<(Row, Vec<Value>)>>,
 ) -> Result<Vec<Row>> {
     let GroupingLayout { key_items, specs } = layout;
-    struct Group {
-        key: Row,
-        states: Vec<AggState>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
+    // groups in creation order: keys[i] owns states[i]
+    let mut keys: Vec<Row> = Vec::new();
+    let mut states: Vec<Vec<AggState>> = Vec::new();
+    let mut index = RowIndex::default();
     let mut ka = evaluated.into_iter();
     for fr in filter_pass {
         if !fr? {
             continue;
         }
         let (key, args) = ka.next().expect("aligned with filter passes")?;
-        let group = match groups.iter_mut().find(|g| rows_equal(&g.key, &key)) {
-            Some(g) => g,
-            None => {
-                groups.push(Group {
-                    key,
-                    states: vec![AggState::default(); specs.len()],
-                });
-                groups.last_mut().expect("just pushed")
-            }
-        };
-        for ((spec, state), arg) in specs.iter().zip(group.states.iter_mut()).zip(args) {
+        let gi = index.first_equal(&keys, &key).unwrap_or_else(|| {
+            keys.push(key);
+            states.push(vec![AggState::default(); specs.len()]);
+            keys.len() - 1
+        });
+        for ((spec, state), arg) in specs.iter().zip(states[gi].iter_mut()).zip(args) {
             state.update(Some(&arg), spec.distinct && spec.arg.is_some());
         }
     }
     // Cypher semantics: no grouping keys and no matches -> one empty group
-    if groups.is_empty() && key_items.is_empty() {
-        groups.push(Group {
-            key: Vec::new(),
-            states: vec![AggState::default(); specs.len()],
-        });
+    if keys.is_empty() && key_items.is_empty() {
+        keys.push(Vec::new());
+        states.push(vec![AggState::default(); specs.len()]);
     }
 
     // finalize each group
-    let mut rows = Vec::with_capacity(groups.len());
-    for group in &groups {
+    let mut rows = Vec::with_capacity(keys.len());
+    for (key, states) in keys.iter().zip(&states) {
         let agg_values: Vec<Value> = specs
             .iter()
-            .zip(&group.states)
+            .zip(states)
             .map(|(spec, state)| state.finalize(spec.func, spec.arg.is_none()))
             .collect();
         // map each key RETURN item to its pre-computed value
@@ -358,7 +396,7 @@ pub(crate) fn fold_groups(
             key_items
                 .iter()
                 .position(|&i| &q.returns[i].expr == expr)
-                .map(|pos| group.key[pos].clone())
+                .map(|pos| key[pos].clone())
         };
         let mut cursor = 0usize;
         let mut row = Vec::with_capacity(q.returns.len());
@@ -383,16 +421,10 @@ pub(crate) fn fold_groups(
     Ok(rows)
 }
 
-fn run_grouped(
-    hg: &HyGraph,
-    q: &Query,
-    bindings: &[Binding],
-    mode: ExecMode,
-    cache: Option<&AggCache>,
-) -> Result<Vec<Row>> {
-    let layout = grouping_layout(q);
+fn run_grouped(rc: &RowCtx<'_>, bindings: &[Binding], mode: ExecMode) -> Result<Vec<Row>> {
+    let layout = grouping_layout(rc.q);
     let par = should_parallelize(mode, bindings.len());
-    let filter_pass = filter_stage(hg, q, bindings, par, cache);
+    let filter_pass = filter_stage(rc, bindings, par);
 
     let t = op_start();
     let passing: Vec<&Binding> = bindings
@@ -401,16 +433,15 @@ fn run_grouped(
         .filter(|(_, r)| matches!(r, Ok(true)))
         .map(|(b, _)| b)
         .collect();
-    let eval_ka = |binding: &&Binding| -> Result<(Row, Vec<Value>)> {
-        eval_key_args(hg, q, &layout, cache, binding)
-    };
+    let eval_ka =
+        |binding: &&Binding| -> Result<(Row, Vec<Value>)> { eval_key_args(rc, &layout, binding) };
     let evaluated: Vec<Result<(Row, Vec<Value>)>> = if par {
         passing.par_iter().map(eval_ka).collect()
     } else {
         passing.iter().map(eval_ka).collect()
     };
 
-    let rows = fold_groups(q, &layout, filter_pass, evaluated)?;
+    let rows = fold_groups(rc.q, &layout, filter_pass, evaluated)?;
     record_op(PlanOp::Aggregate, t, rows.len());
     Ok(rows)
 }
@@ -563,6 +594,59 @@ mod tests {
             r.rows,
             vec![vec![Value::Str("alice".into()), Value::Float(1500.0)]]
         );
+    }
+
+    /// The hash index answers exactly what a linear `rows_equal` scan
+    /// answers, on the values where hashing and `total_cmp` equality are
+    /// easiest to get wrong.
+    #[test]
+    fn row_index_agrees_with_linear_scan() {
+        let keys = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Null,
+            Value::Null,
+            Value::Int(1 << 53),
+            Value::Int((1 << 53) + 1),
+            Value::Float(9007199254740992.0),
+            Value::Bool(true),
+            Value::Str("1".into()),
+            Value::Time(Timestamp::from_millis(1)),
+            Value::Span(Duration::from_millis(1)),
+        ];
+        // every ordered pair, as one-column and two-column rows
+        let mut probes: Vec<Row> = Vec::new();
+        for a in &keys {
+            probes.push(vec![a.clone()]);
+            for b in &keys {
+                probes.push(vec![a.clone(), b.clone()]);
+            }
+        }
+        // rows are only ever compared against earlier ones: replay the
+        // probes twice so every value meets its twins on both sides
+        let probes: Vec<Row> = probes.iter().chain(probes.iter().rev()).cloned().collect();
+        let mut rows: Vec<Row> = Vec::new();
+        let mut index = RowIndex::default();
+        for p in &probes {
+            let linear = rows.iter().position(|r| rows_equal(r, p));
+            assert_eq!(index.first_equal(&rows, p), linear, "probe {p:?}");
+            if linear.is_none() {
+                rows.push(p.clone());
+            }
+        }
+        // Int/Float twins and the NaNs collapse; -0.0 and 0.0 stay apart
+        assert!(rows.iter().all(|r| r != &vec![Value::Float(1.0)]));
+        assert!(rows.contains(&vec![Value::Float(-0.0)]));
+        // DISTINCT keeps the linear scan's first-of-each-class rows
+        let mut distinct = probes.clone();
+        distinct_rows(&mut distinct);
+        assert_eq!(distinct.len(), rows.len());
+        assert!(distinct.iter().zip(&rows).all(|(a, b)| rows_equal(a, b)));
     }
 
     #[test]

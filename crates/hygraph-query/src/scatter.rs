@@ -30,11 +30,10 @@
 //! single CSN frontier), hands the resolved graph here, and every shard
 //! part reads that one immutable snapshot.
 
-use crate::ast::Query;
 use crate::exec::{AggCache, QueryResult, Row};
 use crate::physical::{
     self, eval_filter, eval_key_args, fold_groups, grouping_layout, op_start, project_row,
-    record_op, PlannedQuery,
+    record_op, PlannedQuery, RowCtx,
 };
 use hygraph_core::HyGraph;
 use hygraph_graph::pattern::Binding;
@@ -55,16 +54,15 @@ pub struct ShardPart {
 }
 
 /// The shard a binding anchors to: the home shard of its smallest bound
-/// vertex — deterministic under `HashMap` iteration-order variance
-/// because `min` is order-free. Bindings with no vertex (pure edge
-/// patterns don't exist today, but stay total anyway) fall to shard 0.
+/// vertex. Bindings with no vertex (pure edge patterns don't exist
+/// today, but stay total anyway) anchor to their smallest edge's shard,
+/// and empty ones to shard 0.
 pub fn anchor_shard(binding: &Binding, router: &ShardRouter) -> usize {
     binding
-        .vertices
-        .values()
+        .vertices()
         .min()
-        .map(|&v| router.of_vertex(v))
-        .or_else(|| binding.edges.values().min().map(|&e| router.of_edge(e)))
+        .map(|v| router.of_vertex(v))
+        .or_else(|| binding.edges().min().map(|e| router.of_edge(e)))
         .unwrap_or(0)
 }
 
@@ -163,10 +161,16 @@ pub fn execute_planned_sharded(
     let cache = plan.memoize_aggs.then(AggCache::default);
     let par = should_parallelize(mode, bindings.len());
 
+    let rc = RowCtx {
+        hg,
+        q,
+        vars: &planned.vars,
+        cache: cache.as_ref(),
+    };
     let mut rows = if plan.grouped {
-        sg_grouped(hg, q, &bindings, &parts, par, cache.as_ref())?
+        sg_grouped(&rc, &bindings, &parts, par)?
     } else {
-        sg_flat(hg, q, &bindings, &parts, par, cache.as_ref())?
+        sg_flat(&rc, &bindings, &parts, par)?
     };
 
     physical::finish_rows(q, &columns, &mut rows)?;
@@ -174,14 +178,12 @@ pub fn execute_planned_sharded(
 }
 
 fn sg_flat(
-    hg: &HyGraph,
-    q: &Query,
+    rc: &RowCtx<'_>,
     bindings: &[Binding],
     parts: &[ShardPart],
     par: bool,
-    cache: Option<&AggCache>,
 ) -> Result<Vec<Row>> {
-    let has_filter = q.filter.is_some();
+    let has_filter = rc.q.filter.is_some();
     let ft = has_filter.then(op_start).flatten();
     let pt = op_start();
     let eval = |part: &ShardPart| {
@@ -189,8 +191,8 @@ fn sg_flat(
             part,
             bindings,
             has_filter,
-            |b| eval_filter(hg, q, cache, b),
-            |b| project_row(hg, q, cache, b),
+            |b| eval_filter(rc, b),
+            |b| project_row(rc, b),
         )
     };
     let per_shard: Vec<Vec<Evaluated<Row>>> = if par {
@@ -224,15 +226,13 @@ fn sg_flat(
 }
 
 fn sg_grouped(
-    hg: &HyGraph,
-    q: &Query,
+    rc: &RowCtx<'_>,
     bindings: &[Binding],
     parts: &[ShardPart],
     par: bool,
-    cache: Option<&AggCache>,
 ) -> Result<Vec<Row>> {
-    let layout = grouping_layout(q);
-    let has_filter = q.filter.is_some();
+    let layout = grouping_layout(rc.q);
+    let has_filter = rc.q.filter.is_some();
     let ft = has_filter.then(op_start).flatten();
     let t = op_start();
     let eval = |part: &ShardPart| {
@@ -240,8 +240,8 @@ fn sg_grouped(
             part,
             bindings,
             has_filter,
-            |b| eval_filter(hg, q, cache, b),
-            |b| eval_key_args(hg, q, &layout, cache, b),
+            |b| eval_filter(rc, b),
+            |b| eval_key_args(rc, &layout, b),
         )
     };
     let per_shard: Vec<GroupedEvals> = if par {
@@ -263,7 +263,7 @@ fn sg_grouped(
         .filter(|(_, fr)| matches!(fr, Ok(true)))
         .map(|(i, _)| ka_by_idx[i].take().expect("passing binding evaluated"))
         .collect();
-    let rows = fold_groups(q, &layout, filter_pass, evaluated)?;
+    let rows = fold_groups(rc.q, &layout, filter_pass, evaluated)?;
     record_op(PlanOp::Aggregate, t, rows.len());
     Ok(rows)
 }
@@ -271,28 +271,20 @@ fn sg_grouped(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hygraph_graph::pattern::Bound;
     use hygraph_types::{EdgeId, VertexId};
-    use std::collections::HashMap;
 
     fn binding(vs: &[u64], es: &[u64]) -> Binding {
-        Binding {
-            vertices: vs
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (format!("v{i}"), VertexId::new(v)))
-                .collect::<HashMap<_, _>>(),
-            edges: es
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| (format!("e{i}"), EdgeId::new(e)))
-                .collect::<HashMap<_, _>>(),
-        }
+        let vs = vs.iter().map(|&v| Some(Bound::Vertex(VertexId::new(v))));
+        let es = es.iter().map(|&e| Some(Bound::Edge(EdgeId::new(e))));
+        // an unbound slot in the middle must not count
+        Binding::from(vs.chain([None]).chain(es).collect::<Vec<_>>())
     }
 
     #[test]
     fn anchor_is_min_vertex_home_shard() {
         let r = ShardRouter::new(4);
-        // min vertex is 5 -> shard 1, regardless of map order
+        // min vertex is 5 -> shard 1, regardless of slot order
         assert_eq!(anchor_shard(&binding(&[9, 5, 7], &[2]), &r), 1);
         // no vertices: falls to min edge
         assert_eq!(anchor_shard(&binding(&[], &[6, 3]), &r), 3);

@@ -9,7 +9,7 @@ use hygraph_server::{Backend, Engine};
 use hygraph_temporal::HistoryConfig;
 use hygraph_types::{Interval, Label, PropertyMap, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const BATCH: usize = 7; // vertices per committed batch
 const BATCHES: usize = 40;
@@ -43,14 +43,20 @@ fn observed_count(engine: &Engine) -> i64 {
 fn readers_never_observe_torn_batches(engine: Arc<Engine>) {
     assert_eq!(engine.shards(), 4, "the test must run the sharded path");
     let done = Arc::new(AtomicBool::new(false));
+    // the writer starts once every reader has made its first
+    // observation, so the readers overlap the commits however the
+    // threads are scheduled
+    let started = Arc::new(Barrier::new(4));
     let readers: Vec<_> = (0..3)
         .map(|_| {
             let engine = Arc::clone(&engine);
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut observations = 0usize;
                 let mut last = 0i64;
-                while !done.load(Ordering::Acquire) {
+                let mut first = true;
+                while first || !done.load(Ordering::Acquire) {
                     let n = observed_count(&engine);
                     assert_eq!(
                         n % BATCH as i64,
@@ -60,12 +66,17 @@ fn readers_never_observe_torn_batches(engine: Arc<Engine>) {
                     assert!(n >= last, "snapshot went backwards: {n} after {last}");
                     last = n;
                     observations += 1;
+                    if first {
+                        first = false;
+                        started.wait();
+                    }
                 }
                 observations
             })
         })
         .collect();
 
+    started.wait();
     for _ in 0..BATCHES {
         engine.mutate_batch(station_batch()).expect("commit");
     }

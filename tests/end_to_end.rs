@@ -148,10 +148,11 @@ fn hyql_matches_programmatic_pattern_results() {
             1000.0,
         ),
     );
+    let u_slot = p.vars().vertex("u").expect("u is a vertex var");
     let mut programmatic: Vec<VertexId> = p
         .find_all(hg.topology())
         .iter()
-        .map(|b| b.vertices["u"])
+        .map(|b| b.vertex(u_slot).expect("u bound"))
         .collect();
     programmatic.sort_unstable();
     programmatic.dedup();
