@@ -1,13 +1,13 @@
 //! Criterion benchmarks of the HyQL engine: parsing, pattern matching,
 //! series aggregates, row aggregation, and variable-length expansion on
-//! the fraud dataset; and the pattern matcher on its own (`matcher/*`)
-//! on the bike topology of the end-to-end benchmark.
+//! the fraud dataset; the pattern matcher on its own (`matcher/*`) and
+//! planned execution of the end-to-end benchmark's query shapes
+//! (`executor/*`) on its bike topology.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hygraph_datagen::bike::{self, BikeConfig};
 use hygraph_datagen::fraud::{generate, FraudConfig};
 use hygraph_query::{execute_planned, parser, plan_query, query, PlannedQuery};
-use hygraph_types::parallel::ExecMode;
 use std::hint::black_box;
 
 fn bench_query(c: &mut Criterion) {
@@ -154,16 +154,61 @@ fn bench_matcher(c: &mut Criterion) {
         b.iter(|| black_box(count_matches(&reach, g)))
     });
     m.bench_function("trip_series_query", |b| {
-        b.iter(|| {
-            black_box(
-                execute_planned(&hg, &series, ExecMode::Sequential)
-                    .expect("runs")
-                    .rows
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(execute_planned(&hg, &series).expect("runs").rows.len()))
     });
     m.finish();
+}
+
+/// Planned execution — match, filter, projection or grouping, DISTINCT,
+/// sort and limit in one streaming pass — of four `hybrid-read` query
+/// shapes on the same bike topology, each planned once up front.
+fn bench_executor(c: &mut Criterion) {
+    let hg = bike::generate(BikeConfig {
+        stations: 200,
+        days: 30,
+        ..Default::default()
+    })
+    .to_hygraph();
+    let day = 86_400_000i64;
+    let shapes = [
+        (
+            "trip_filter",
+            "MATCH (a:Station)-[t:TRIP]->(b:Station) WHERE t.trips > 225 RETURN COUNT(t) AS n"
+                .to_string(),
+        ),
+        (
+            "trip_distinct",
+            "MATCH (a:Station)-[t:TRIP]->(b:Station) WHERE t.trips > 225 \
+             RETURN DISTINCT b.name AS name ORDER BY name LIMIT 20"
+                .to_string(),
+        ),
+        (
+            "trip_series",
+            format!(
+                "MATCH (a:Station)-[t:TRIP]->(b:Station) \
+                 WHERE t.trips > 225 AND MAX(b.availability IN [{day}, {})) > 12 \
+                 RETURN a.name AS src, COUNT(t) AS n ORDER BY n DESC, src LIMIT 10",
+                2 * day
+            ),
+        ),
+        (
+            "day_peak_top",
+            format!(
+                "MATCH (s:Station) WHERE s.capacity > 30 \
+                 RETURN s.name AS name, MAX(s.docks IN [{day}, {})) AS peak \
+                 ORDER BY peak DESC, name LIMIT 5",
+                2 * day
+            ),
+        ),
+    ];
+    let mut g = c.benchmark_group("executor");
+    for (name, text) in &shapes {
+        let p = planned(text);
+        g.bench_function(*name, |b| {
+            b.iter(|| black_box(execute_planned(&hg, &p).expect("runs").rows.len()))
+        });
+    }
+    g.finish();
 }
 
 criterion_group! {
@@ -174,6 +219,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_query, bench_matcher
+    targets = bench_query, bench_matcher, bench_executor
 }
 criterion_main!(benches);

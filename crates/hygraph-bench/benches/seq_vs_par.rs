@@ -1,6 +1,7 @@
 //! Sequential vs parallel execution of the workspace's fan-out paths:
-//! HyQL per-binding evaluation, PageRank, the pairwise correlation
-//! matrix, and batch series summarisation.
+//! PageRank, the pairwise correlation matrix, and batch series
+//! summarisation. (HyQL executes each request in one sequential pass;
+//! a server's parallelism is its worker pool.)
 //!
 //! Unlike the other benches this binary always writes a
 //! machine-readable summary — `BENCH_PR1.json` in the working directory
@@ -14,10 +15,8 @@
 //! Run with: `cargo bench -p hygraph-bench --bench seq_vs_par`
 
 use criterion::{black_box, Criterion};
-use hygraph_core::HyGraph;
 use hygraph_graph::algorithms::pagerank::{pagerank_mode, PageRankConfig};
 use hygraph_graph::TemporalGraph;
-use hygraph_query::{execute_mode, parser};
 use hygraph_ts::ops::correlate;
 use hygraph_ts::store::AggKind;
 use hygraph_ts::{TimeSeries, TsStore};
@@ -35,63 +34,6 @@ fn xorshift(state: &mut u64) -> u64 {
 
 fn unit_f64(state: &mut u64) -> f64 {
     (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// 80 users × 3 cards: 240 bindings, each evaluating a series aggregate.
-fn query_fixture() -> HyGraph {
-    let mut st = 0x5eed_cafe_u64;
-    let mut hg = HyGraph::new();
-    for u in 0..80 {
-        let user = hg.add_pg_vertex(["User"], props! {"name" => format!("u{u:03}")});
-        for _ in 0..3 {
-            let base = unit_f64(&mut st) * 1000.0;
-            let s = TimeSeries::generate(Timestamp::ZERO, Duration::from_hours(1), 48, move |h| {
-                base + (h as f64 * 0.3).sin() * 50.0
-            });
-            let sid = hg.add_univariate_series("spend", &s);
-            let card = hg.add_ts_vertex(["Card"], sid).unwrap();
-            hg.add_pg_edge(
-                user,
-                card,
-                ["USES"],
-                props! {"fee" => unit_f64(&mut st) * 10.0},
-            )
-            .unwrap();
-        }
-    }
-    hg
-}
-
-fn bench_query(c: &mut Criterion) {
-    let hg = query_fixture();
-    let q = parser::parse(
-        "MATCH (u:User)-[e:USES]->(c:Card) \
-         WHERE MEAN(DELTA(c) IN [0, 172800000)) > 400 \
-         RETURN u.name AS who, e.fee AS fee ORDER BY who, fee",
-    )
-    .unwrap();
-    let mut group = c.benchmark_group("seq_vs_par/query_execute");
-    group.bench_function("seq", |b| {
-        b.iter(|| {
-            black_box(
-                execute_mode(&hg, &q, ExecMode::Sequential)
-                    .unwrap()
-                    .rows
-                    .len(),
-            )
-        })
-    });
-    group.bench_function("par", |b| {
-        b.iter(|| {
-            black_box(
-                execute_mode(&hg, &q, ExecMode::Parallel)
-                    .unwrap()
-                    .rows
-                    .len(),
-            )
-        })
-    });
-    group.finish();
 }
 
 fn bench_pagerank(c: &mut Criterion) {
@@ -178,7 +120,6 @@ fn main() {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1500));
-    bench_query(&mut criterion);
     bench_pagerank(&mut criterion);
     bench_correlation(&mut criterion);
     bench_batch_aggregate(&mut criterion);

@@ -24,7 +24,6 @@ use hygraph_bench::{time_stats, Scale};
 use hygraph_datagen::fraud::{generate, FraudConfig};
 use hygraph_query::{classify, execute, execute_interpreted, execute_planned, parser, plan_query};
 use hygraph_types::bytes::ByteWriter;
-use hygraph_types::parallel::ExecMode;
 
 /// `(name, is_ts_aggregate, query text)` — the ts-aggregate flag marks
 /// the queries the pushdown/memoization work targets.
@@ -136,18 +135,10 @@ fn main() {
         // hit: the cached PlannedQuery only pays execution
         let planned = plan_query(&q).expect("plans");
         for _ in 0..warmup {
-            std::hint::black_box(
-                execute_planned(hg, &planned, ExecMode::Auto)
-                    .unwrap()
-                    .rows
-                    .len(),
-            );
+            std::hint::black_box(execute_planned(hg, &planned).unwrap().rows.len());
         }
         let (hit_ms, _) = time_stats(runs, || {
-            execute_planned(hg, &planned, ExecMode::Auto)
-                .unwrap()
-                .rows
-                .len() as f64
+            execute_planned(hg, &planned).unwrap().rows.len() as f64
         });
 
         let speedup = interp_ms / hit_ms.max(1e-9);

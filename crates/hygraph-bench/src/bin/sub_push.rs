@@ -28,7 +28,6 @@ use hygraph_query::{execute_planned, plan_query, QueryResult};
 use hygraph_sub::{DeltaSink, SubConfig, SubscriptionRegistry};
 use hygraph_ts::TimeSeries;
 use hygraph_types::bytes::ByteWriter;
-use hygraph_types::parallel::ExecMode;
 use hygraph_types::{props, Duration, Interval, Label, SeriesId, Timestamp, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -204,14 +203,14 @@ fn run_rerun_path(
         .collect();
     let mut rows: Vec<QueryResult> = planned
         .iter()
-        .map(|p| execute_planned(&hg, p, ExecMode::Auto).expect("execute"))
+        .map(|p| execute_planned(&hg, p).expect("execute"))
         .collect();
     let mut pushed = 0u64;
     let t0 = Instant::now();
     for m in stream {
         apply_one(&mut hg, m);
         for (p, prev) in planned.iter().zip(rows.iter_mut()) {
-            let next = execute_planned(&hg, p, ExecMode::Auto).expect("execute");
+            let next = execute_planned(&hg, p).expect("execute");
             let delta = diff_rows(&prev.rows, &next.rows);
             if !delta.is_empty() {
                 pushed += 1;
@@ -268,7 +267,7 @@ fn main() {
                 apply_delta(snap, &delta).expect("apply_delta");
             }
             for ((_, snap), p) in subs_state.iter().zip(planned.iter()) {
-                let fresh = execute_planned(&hg, p, ExecMode::Auto).expect("execute");
+                let fresh = execute_planned(&hg, p).expect("execute");
                 assert_eq!(
                     encoded(snap),
                     encoded(&fresh),

@@ -334,6 +334,15 @@ impl HyGraph {
         Ok(())
     }
 
+    /// Errors with [`HyGraphError::SeriesNotFound`] unless every
+    /// series-valued property in `props` names a series of this
+    /// instance — the property invariant [`HyGraph::validate`] checks.
+    pub fn check_series_refs(&self, props: &PropertyMap) -> Result<()> {
+        props
+            .series_entries()
+            .try_for_each(|(_, id)| self.series(id).map(|_| ()))
+    }
+
     /// ρ(x): the validity interval of a pg-element or subgraph.
     pub fn rho(&self, el: ElementRef) -> Result<Interval> {
         match el {

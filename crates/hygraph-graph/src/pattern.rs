@@ -244,22 +244,6 @@ impl Binding {
         }
     }
 
-    /// Every bound vertex, in slot order.
-    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.slots.iter().filter_map(|s| match s {
-            Some(Bound::Vertex(v)) => Some(*v),
-            _ => None,
-        })
-    }
-
-    /// Every bound edge, in slot order.
-    pub fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.slots.iter().filter_map(|s| match s {
-            Some(Bound::Edge(e)) => Some(*e),
-            _ => None,
-        })
-    }
-
     /// The element bound to variable `name` under `vars`: the vertex
     /// variable of that name when bound, else the edge variable.
     pub fn get(&self, vars: &Vars, name: &str) -> Option<Bound> {

@@ -618,6 +618,7 @@ impl Durable for HyGraph {
                 props,
                 validity,
             } => {
+                self.check_series_refs(props)?;
                 self.add_pg_vertex_valid(labels.iter().cloned(), props.clone(), *validity);
                 Ok(())
             }
@@ -632,6 +633,7 @@ impl Durable for HyGraph {
                 props,
                 validity,
             } => {
+                self.check_series_refs(props)?;
                 self.add_pg_edge_valid(
                     *src,
                     *dst,
@@ -660,6 +662,7 @@ impl Durable for HyGraph {
                 props,
                 validity,
             } => {
+                self.check_series_refs(props)?;
                 self.create_subgraph(labels.iter().cloned(), props.clone(), *validity);
                 Ok(())
             }
@@ -728,6 +731,61 @@ mod tests {
         let back = S::decode_mutation(&mut r).expect("decodes");
         r.expect_exhausted().expect("no trailing bytes");
         back
+    }
+
+    /// A new element whose properties name an unknown series would
+    /// break the invariant `HyGraph::validate` checks (and so the next
+    /// checkpoint's decode): apply rejects it and leaves the state as it
+    /// was, while the same mutation naming a live series applies.
+    #[test]
+    fn new_elements_must_name_existing_series() {
+        let mut hg = HyGraph::new();
+        let ghost = SeriesId::new(41);
+        let mut props = PropertyMap::new();
+        props.set("load", PropertyValue::Series(ghost));
+        let state = |hg: &HyGraph| {
+            let mut w = ByteWriter::new();
+            hg.encode_state(&mut w);
+            w.into_bytes()
+        };
+        let before = state(&hg);
+        for m in [
+            HgMutation::AddPgVertex {
+                labels: vec![Label::new("Station")],
+                props: props.clone(),
+                validity: Interval::ALL,
+            },
+            HgMutation::CreateSubgraph {
+                labels: vec![],
+                props: props.clone(),
+                validity: Interval::ALL,
+            },
+        ] {
+            assert!(matches!(
+                hg.apply(&m),
+                Err(hygraph_types::HyGraphError::SeriesNotFound(id)) if id == ghost
+            ));
+            assert_eq!(state(&hg), before);
+        }
+        let v = hg.add_pg_vertex(["Station"], PropertyMap::new());
+        let edge = HgMutation::AddPgEdge {
+            src: v,
+            dst: v,
+            labels: vec![],
+            props: props.clone(),
+            validity: Interval::ALL,
+        };
+        assert!(hg.apply(&edge).is_err());
+        let sid = hg.add_univariate_series("load", &hygraph_ts::TimeSeries::new());
+        let mut live = PropertyMap::new();
+        live.set("load", PropertyValue::Series(sid));
+        hg.apply(&HgMutation::AddPgVertex {
+            labels: vec![],
+            props: live,
+            validity: Interval::ALL,
+        })
+        .unwrap();
+        hg.validate().unwrap();
     }
 
     #[test]

@@ -12,16 +12,6 @@ use hygraph_types::parallel::{should_parallelize, ExecMode};
 use hygraph_types::{HyGraphError, Interval, Result, Timestamp, Value};
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// Memoization table for series aggregates within one query execution:
-/// `(series, from_ms, to_ms) -> Summary`. Shared across bindings so a
-/// window recomputed for every match of the same ts-element is summarised
-/// once. Insert races are harmless: the value is a deterministic function
-/// of the key, and [`hygraph_ts::store::Summary`] is `Copy`, so every
-/// writer stores the identical bits.
-pub(crate) type AggCache =
-    Mutex<HashMap<(hygraph_types::SeriesId, i64, i64), hygraph_ts::store::Summary>>;
 
 /// One result row (values in column order).
 pub type Row = Vec<Value>;
@@ -159,29 +149,24 @@ pub(crate) fn contains_rowagg(expr: &Expr) -> bool {
     }
 }
 
-/// Executes a parsed query against an instance through the planner
-/// (parse → logical plan → optimize → physical operators). Execution
-/// mode is decided from the number of pattern matches.
-pub fn execute(hg: &HyGraph, q: &Query) -> Result<QueryResult> {
-    execute_mode(hg, q, ExecMode::Auto)
-}
-
-/// [`execute`] with an explicit execution mode. Thin wrapper over the
-/// planner: lowers the AST to a logical plan, runs the rewrite rules,
-/// and executes the physical operators. Bit-identical to
-/// [`execute_interpreted_mode`] by construction (see
+/// Executes a parsed query against an instance through the planner:
+/// lowers the AST to a logical plan, runs the rewrite rules, compiles
+/// the patterns and slot program, and streams the matches through it
+/// ([`crate::execute_planned`]). Bit-identical to
+/// [`execute_interpreted_mode`] in either mode (see
 /// `tests/plan_equivalence.rs`). An `EXPLAIN`-flagged query returns the
 /// optimized plan rendering instead of executing.
-pub fn execute_mode(hg: &HyGraph, q: &Query, mode: ExecMode) -> Result<QueryResult> {
+pub fn execute(hg: &HyGraph, q: &Query) -> Result<QueryResult> {
     let planned = crate::physical::plan_query(q)?;
     if q.explain {
         return Ok(crate::plan::explain_result(&planned));
     }
-    crate::physical::execute_planned(hg, &planned, mode)
+    crate::physical::execute_planned(hg, &planned)
 }
 
 /// Executes a parsed query through the legacy one-pass interpreter —
-/// kept as the semantic reference the planner is validated against.
+/// kept as the semantic reference (the oracle) the planner is validated
+/// against.
 pub fn execute_interpreted(hg: &HyGraph, q: &Query) -> Result<QueryResult> {
     execute_interpreted_mode(hg, q, ExecMode::Auto)
 }
@@ -244,13 +229,7 @@ fn execute_flat(
     mode: ExecMode,
 ) -> Result<Vec<Row>> {
     let eval_one = |binding: &Binding| -> Result<Option<Row>> {
-        let ctx = EvalCtx {
-            hg,
-            vars,
-            binding,
-            agg_cache: None,
-            local_agg: None,
-        };
+        let ctx = EvalCtx { hg, vars, binding };
         if let Some(filter) = &q.filter {
             if ctx.eval(filter)?.as_bool() != Some(true) {
                 return Ok(None);
@@ -280,7 +259,7 @@ fn execute_flat(
 
 /// Accumulator for one row-aggregate instance within one group.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct AggState {
+struct AggState {
     rows: u64,
     non_null: u64,
     sum: f64,
@@ -291,7 +270,7 @@ pub(crate) struct AggState {
 }
 
 impl AggState {
-    pub(crate) fn update(&mut self, arg: Option<&Value>, distinct: bool) {
+    fn update(&mut self, arg: Option<&Value>, distinct: bool) {
         self.rows += 1;
         let Some(v) = arg else { return };
         if v.is_null() {
@@ -320,7 +299,7 @@ impl AggState {
         }
     }
 
-    pub(crate) fn finalize(&self, func: RowAggFunc, counts_rows: bool) -> Value {
+    fn finalize(&self, func: RowAggFunc, counts_rows: bool) -> Value {
         match func {
             RowAggFunc::Count => Value::Int(if counts_rows {
                 self.rows as i64
@@ -349,13 +328,13 @@ impl AggState {
 
 /// One row-aggregate occurrence, collected in deterministic pre-order
 /// over the RETURN items then HAVING.
-pub(crate) struct RowAggSpec {
-    pub(crate) func: RowAggFunc,
-    pub(crate) arg: Option<Expr>,
-    pub(crate) distinct: bool,
+struct RowAggSpec {
+    func: RowAggFunc,
+    arg: Option<Expr>,
+    distinct: bool,
 }
 
-pub(crate) fn collect_rowaggs(expr: &Expr, out: &mut Vec<RowAggSpec>) {
+fn collect_rowaggs(expr: &Expr, out: &mut Vec<RowAggSpec>) {
     match expr {
         Expr::RowAgg {
             func,
@@ -377,8 +356,7 @@ pub(crate) fn collect_rowaggs(expr: &Expr, out: &mut Vec<RowAggSpec>) {
 
 /// Substitutes pre-computed aggregate results (same pre-order as
 /// [`collect_rowaggs`]) while evaluating an expression over a group.
-pub(crate) fn eval_final(
-    ctx: Option<&EvalCtx<'_>>,
+fn eval_final(
     expr: &Expr,
     agg_values: &[Value],
     cursor: &mut usize,
@@ -399,24 +377,21 @@ pub(crate) fn eval_final(
             Ok(v)
         }
         Expr::Not(inner) => {
-            let v = eval_final(ctx, inner, agg_values, cursor, key_lookup)?;
+            let v = eval_final(inner, agg_values, cursor, key_lookup)?;
             Ok(match v.as_bool() {
                 Some(b) => Value::Bool(!b),
                 None => Value::Null,
             })
         }
         Expr::Binary { op, lhs, rhs } => {
-            let l = eval_final(ctx, lhs, agg_values, cursor, key_lookup)?;
-            let r = eval_final(ctx, rhs, agg_values, cursor, key_lookup)?;
+            let l = eval_final(lhs, agg_values, cursor, key_lookup)?;
+            let r = eval_final(rhs, agg_values, cursor, key_lookup)?;
             Ok(apply_binop(*op, &l, &r))
         }
         Expr::Literal(v) => Ok(v.clone()),
-        other => match ctx {
-            Some(c) => c.eval(other),
-            None => Err(HyGraphError::query(format!(
-                "expression {other:?} requires a bound row outside aggregation"
-            ))),
-        },
+        other => Err(HyGraphError::query(format!(
+            "expression {other:?} requires a bound row outside aggregation"
+        ))),
     }
 }
 
@@ -448,13 +423,7 @@ fn execute_grouped(
     // aggregate-argument evaluation — independent pure work
     type KeyedArgs = Option<(Row, Vec<Value>)>;
     let eval_one = |binding: &Binding| -> Result<KeyedArgs> {
-        let ctx = EvalCtx {
-            hg,
-            vars,
-            binding,
-            agg_cache: None,
-            local_agg: None,
-        };
+        let ctx = EvalCtx { hg, vars, binding };
         if let Some(filter) = &q.filter {
             if ctx.eval(filter)?.as_bool() != Some(true) {
                 return Ok(None);
@@ -529,16 +498,10 @@ fn execute_grouped(
         let mut row = Vec::with_capacity(q.returns.len());
         let mut keep = true;
         for r in &q.returns {
-            row.push(eval_final(
-                None,
-                &r.expr,
-                &agg_values,
-                &mut cursor,
-                &key_lookup,
-            )?);
+            row.push(eval_final(&r.expr, &agg_values, &mut cursor, &key_lookup)?);
         }
         if let Some(h) = &q.having {
-            let v = eval_final(None, h, &agg_values, &mut cursor, &key_lookup)?;
+            let v = eval_final(h, &agg_values, &mut cursor, &key_lookup)?;
             keep = v.as_bool() == Some(true);
         }
         if keep {
@@ -753,48 +716,26 @@ fn compile_one(
     Ok(pattern)
 }
 
-/// Single-entry intra-binding summary cache: lock-free, lives next to
-/// one [`EvalCtx`], catches `MAX(DELTA(c) IN R)` / `SUM(DELTA(c) IN R)`
-/// re-evaluating the same `(series, range)` within one row.
-pub(crate) type LocalAggCache = std::cell::Cell<
-    Option<(
-        (hygraph_types::SeriesId, i64, i64),
-        hygraph_ts::store::Summary,
-    )>,
->;
-
-pub(crate) struct EvalCtx<'a> {
-    pub(crate) hg: &'a HyGraph,
+/// The interpreter's per-binding evaluation context.
+struct EvalCtx<'a> {
+    hg: &'a HyGraph,
     /// The query's variable → binding-slot table.
-    pub(crate) vars: &'a Vars,
-    pub(crate) binding: &'a Binding,
-    /// Optional shared series-aggregate memoization table (planner path,
-    /// fan-out patterns); `None` reproduces the legacy interpreter's
-    /// recompute-per-binding behaviour. Cached and uncached evaluation
-    /// are bit-identical — the cache stores the `Copy` summary the
-    /// kernel would have produced.
-    pub(crate) agg_cache: Option<&'a AggCache>,
-    /// Optional per-binding single-entry cache (planner path). Checked
-    /// before the shared table; costs one compare on miss, no locking.
-    pub(crate) local_agg: Option<&'a LocalAggCache>,
-}
-
-/// The element `binding` holds for variable `var`: its vertex slot when
-/// bound, else its edge slot.
-pub(crate) fn bound_element(vars: &Vars, binding: &Binding, var: &str) -> Option<ElementRef> {
-    Some(match binding.get(vars, var)? {
-        Bound::Vertex(v) => ElementRef::Vertex(v),
-        Bound::Edge(e) => ElementRef::Edge(e),
-    })
+    vars: &'a Vars,
+    binding: &'a Binding,
 }
 
 impl EvalCtx<'_> {
-    pub(crate) fn element(&self, var: &str) -> Result<ElementRef> {
-        bound_element(self.vars, self.binding, var)
-            .ok_or_else(|| HyGraphError::query(format!("unbound variable '{var}'")))
+    /// The element bound to `var`: its vertex slot when bound, else its
+    /// edge slot.
+    fn element(&self, var: &str) -> Result<ElementRef> {
+        match self.binding.get(self.vars, var) {
+            Some(Bound::Vertex(v)) => Ok(ElementRef::Vertex(v)),
+            Some(Bound::Edge(e)) => Ok(ElementRef::Edge(e)),
+            None => Err(HyGraphError::query(format!("unbound variable '{var}'"))),
+        }
     }
 
-    pub(crate) fn eval(&self, expr: &Expr) -> Result<Value> {
+    fn eval(&self, expr: &Expr) -> Result<Value> {
         match expr {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Var(var) => {
@@ -862,37 +803,11 @@ impl EvalCtx<'_> {
             }
         };
         let iv = Interval::new(Timestamp::from_millis(from), Timestamp::from_millis(to));
-        let key = (sid, from, to);
         // shared kernel: per-chunk precomputed block summaries make this
         // O(blocks touched) instead of O(points); `None` only for a
         // series with zero value columns, which the old slice-then-
         // column(0) path also mapped to Null
-        let local_hit = self
-            .local_agg
-            .and_then(|cell| cell.get())
-            .filter(|&(k, _)| k == key)
-            .map(|(_, s)| s);
-        let cached = local_hit.or_else(|| {
-            self.agg_cache
-                .and_then(|c| c.lock().ok())
-                .and_then(|c| c.get(&key).copied())
-        });
-        let summary = match cached {
-            Some(s) => Some(s),
-            None => {
-                let ms = self.hg.series(sid)?;
-                let s = ms.summarize(&iv, 0);
-                if let (Some(s), Some(cache)) = (s, self.agg_cache) {
-                    if let Ok(mut c) = cache.lock() {
-                        c.insert(key, s);
-                    }
-                }
-                s
-            }
-        };
-        if let (Some(cell), Some(s)) = (self.local_agg, summary) {
-            cell.set(Some((key, s)));
-        }
+        let summary = self.hg.series(sid)?.summarize(&iv, 0);
         let Some(summary) = summary else {
             return Ok(Value::Null);
         };

@@ -30,12 +30,13 @@
 //! [`Pattern::find_keyed_with_vertex`]: hygraph_graph::Pattern::find_keyed_with_vertex
 //! [`execute_planned`]: crate::execute_planned
 
-use crate::ast::{Expr, ReturnItem, SeriesRef};
-use crate::exec::{bound_element, EvalCtx, LocalAggCache, QueryResult, Row};
+use crate::ast::Expr;
+use crate::exec::{QueryResult, Row};
 use crate::physical::PlannedQuery;
 use crate::plan::LogicalPlan;
+use crate::program::Eval;
 use hygraph_core::HyGraph;
-use hygraph_graph::pattern::{Binding, MatchKey, Vars};
+use hygraph_graph::pattern::{Binding, MatchKey};
 use hygraph_types::bytes::{ByteReader, ByteWriter};
 use hygraph_types::{EdgeId, HyGraphError, Result, SeriesId, VertexId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -412,11 +413,16 @@ impl IncState {
         }
 
         // (c) re-evaluate every touched entry against the new instance
+        let mut ev = Eval::new(hg);
+        let mut deps = Vec::new();
         for k in changed.keys() {
             let entry = self.entries.get(k).expect("touched entry exists");
-            let row = eval_binding(&self.planned, hg, &entry.binding)?;
-            let deps = series_deps(&self.planned, hg, &entry.binding);
-            for sid in deps {
+            let row = self.planned.program.row(&mut ev, &entry.binding)?;
+            deps.clear();
+            self.planned
+                .program
+                .series_deps(hg, &entry.binding, &mut deps);
+            for &sid in &deps {
                 self.by_series.entry(sid).or_default().insert(k.clone());
             }
             self.entries.get_mut(k).expect("touched entry exists").row = row;
@@ -459,9 +465,10 @@ impl IncState {
     /// Enumerates and evaluates every match from scratch.
     fn full_entries(&self, hg: &HyGraph) -> Result<BTreeMap<EntryKey, Entry>> {
         let mut entries = BTreeMap::new();
+        let mut ev = Eval::new(hg);
         for (pi, pattern) in self.planned.patterns.iter().enumerate() {
             for (key, binding) in pattern.find_keyed(hg.topology()) {
-                let row = eval_binding(&self.planned, hg, &binding)?;
+                let row = self.planned.program.row(&mut ev, &binding)?;
                 entries.insert((pi as u32, key), Entry { binding, row });
             }
         }
@@ -470,8 +477,13 @@ impl IncState {
 
     fn reindex_series(&mut self, hg: &HyGraph) {
         self.by_series.clear();
+        let mut deps = Vec::new();
         for (k, entry) in &self.entries {
-            for sid in series_deps(&self.planned, hg, &entry.binding) {
+            deps.clear();
+            self.planned
+                .program
+                .series_deps(hg, &entry.binding, &mut deps);
+            for &sid in &deps {
                 self.by_series.entry(sid).or_default().insert(k.clone());
             }
         }
@@ -505,71 +517,6 @@ fn emit_op(ops: &mut Vec<DeltaOp>, pos: &mut usize, old: Option<&Row>, new: Opti
     }
 }
 
-/// Filter + project one binding — the exact per-binding recipe of the
-/// flat physical path (`filter_stage` then `project`), so stored rows
-/// are byte-identical to `execute_planned`'s.
-fn eval_binding(planned: &PlannedQuery, hg: &HyGraph, binding: &Binding) -> Result<Option<Row>> {
-    let q = &planned.plan.query;
-    let local = LocalAggCache::default();
-    let ctx = EvalCtx {
-        hg,
-        vars: &planned.vars,
-        binding,
-        agg_cache: None,
-        local_agg: Some(&local),
-    };
-    if let Some(filter) = &q.filter {
-        if ctx.eval(filter)?.as_bool() != Some(true) {
-            return Ok(None);
-        }
-    }
-    let mut row = Vec::with_capacity(q.returns.len());
-    for ReturnItem { expr, .. } in &q.returns {
-        row.push(ctx.eval(expr)?);
-    }
-    Ok(Some(row))
-}
-
-/// Resolves the series ids this binding's evaluation reads (through
-/// `DELTA(var)` and series-valued properties), mirroring `eval_agg`'s
-/// resolution rules. Unresolvable references contribute nothing — their
-/// evaluation is Null regardless of appended points.
-fn series_deps(planned: &PlannedQuery, hg: &HyGraph, binding: &Binding) -> Vec<SeriesId> {
-    fn walk(e: &Expr, hg: &HyGraph, vars: &Vars, binding: &Binding, out: &mut Vec<SeriesId>) {
-        let element = |var: &str| bound_element(vars, binding, var);
-        match e {
-            Expr::Agg { series, .. } => {
-                let sid = match series {
-                    SeriesRef::Delta(var) => element(var).and_then(|el| hg.delta_id(el).ok()),
-                    SeriesRef::Property { var, key } => element(var)
-                        .and_then(|el| hg.props(el).ok())
-                        .and_then(|p| p.series_value(key)),
-                };
-                if let Some(sid) = sid {
-                    out.push(sid);
-                }
-            }
-            Expr::Not(i) => walk(i, hg, vars, binding, out),
-            Expr::Binary { lhs, rhs, .. } => {
-                walk(lhs, hg, vars, binding, out);
-                walk(rhs, hg, vars, binding, out);
-            }
-            Expr::RowAgg { arg: Some(a), .. } => walk(a, hg, vars, binding, out),
-            _ => {}
-        }
-    }
-    let q = &planned.plan.query;
-    let mut out = Vec::new();
-    let vars = &planned.vars;
-    if let Some(f) = &q.filter {
-        walk(f, hg, vars, binding, &mut out);
-    }
-    for r in &q.returns {
-        walk(&r.expr, hg, vars, binding, &mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,7 +524,6 @@ mod tests {
     use crate::physical::{execute_planned, plan_query};
     use hygraph_core::{ElementRef, HyGraphBuilder};
     use hygraph_ts::TimeSeries;
-    use hygraph_types::parallel::ExecMode;
     use hygraph_types::{props, Duration, Timestamp};
 
     fn instance() -> HyGraph {
@@ -619,7 +565,7 @@ mod tests {
     ) {
         let delta = st.apply_batch(hg, new_v, new_e, appended, false).unwrap();
         apply_delta(local, &delta).unwrap();
-        let fresh = execute_planned(hg, st.planned(), ExecMode::Sequential).unwrap();
+        let fresh = execute_planned(hg, st.planned()).unwrap();
         assert_eq!(encoded(local), encoded(&fresh));
         assert_eq!(encoded(&st.snapshot()), encoded(&fresh));
     }
@@ -635,7 +581,7 @@ mod tests {
         ] {
             let planned = plan_query(&parse(text).unwrap()).unwrap();
             let (_, snap) = IncState::new(&planned, &hg).unwrap();
-            let fresh = execute_planned(&hg, &planned, ExecMode::Sequential).unwrap();
+            let fresh = execute_planned(&hg, &planned).unwrap();
             assert_eq!(encoded(&snap), encoded(&fresh), "{text}");
         }
     }
@@ -693,7 +639,7 @@ mod tests {
         .unwrap();
         let delta = st.apply_batch(&hg, &[], &[], &[], true).unwrap();
         apply_delta(&mut local, &delta).unwrap();
-        let fresh = execute_planned(&hg, st.planned(), ExecMode::Sequential).unwrap();
+        let fresh = execute_planned(&hg, st.planned()).unwrap();
         assert_eq!(encoded(&local), encoded(&fresh));
     }
 

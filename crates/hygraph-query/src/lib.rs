@@ -18,8 +18,9 @@
 //! Pipeline: [`lexer`] → [`parser`] (AST in [`ast`]) → [`plan`] (logical
 //! plan + fingerprint) → [`optimize`] (rule-based rewrites: constant
 //! folding, predicate pushdown into pattern matching, redundant-stage
-//! elimination, series-aggregate memoization) → [`physical`] (operator
-//! pipeline with per-operator metrics) against a
+//! elimination) → [`physical`] (one streaming pass: each match is
+//! evaluated by the plan's compiled slot program inside the matcher's
+//! callback, with per-operator metrics) against a
 //! [`hygraph_core::HyGraph`]. The legacy one-pass interpreter survives
 //! as [`exec::execute_interpreted`], the reference the planner is
 //! validated against (`tests/plan_equivalence.rs`). Prefix a query with
@@ -117,21 +118,16 @@ pub mod optimize;
 pub mod parser;
 pub mod physical;
 pub mod plan;
-pub mod scatter;
+mod program;
 
 pub use ast::{Query, TemporalBound};
-pub use exec::{
-    execute, execute_interpreted, execute_interpreted_mode, execute_mode, QueryResult, Row,
-};
+pub use exec::{execute, execute_interpreted, execute_interpreted_mode, QueryResult, Row};
 pub use incremental::{apply_delta, diff_rows, Delta, DeltaOp, IncState};
-pub use physical::{execute_planned, plan_query, PlannedQuery};
+pub use physical::{execute_planned, execute_planned_sharded, plan_query, PlannedQuery};
 pub use plan::{LogicalPlan, PushedPred};
-pub use scatter::execute_planned_sharded;
 
 use hygraph_core::HyGraph;
 use hygraph_metrics::OpClass;
-use hygraph_types::parallel::ExecMode;
-use hygraph_types::shard::ShardRouter;
 use hygraph_types::Result;
 use std::sync::Arc;
 
@@ -213,20 +209,7 @@ pub trait TemporalResolver {
 /// (first-seen order, exact value equality). This is the `BETWEEN`
 /// execution strategy: "everything the query ever returned while the
 /// store passed through `[t1, t2]`".
-pub fn execute_epochs(
-    states: &[Arc<HyGraph>],
-    planned: &PlannedQuery,
-    mode: ExecMode,
-) -> Result<QueryResult> {
-    execute_epochs_inner(states, planned, mode, None)
-}
-
-fn execute_epochs_inner(
-    states: &[Arc<HyGraph>],
-    planned: &PlannedQuery,
-    mode: ExecMode,
-    router: Option<ShardRouter>,
-) -> Result<QueryResult> {
+pub fn execute_epochs(states: &[Arc<HyGraph>], planned: &PlannedQuery) -> Result<QueryResult> {
     let columns: Vec<String> = planned
         .plan
         .query
@@ -237,7 +220,7 @@ fn execute_epochs_inner(
     let mut rows: Vec<Row> = Vec::new();
     let mut seen = physical::RowIndex::default();
     for g in states {
-        let r = run_one(g, planned, mode, router)?;
+        let r = physical::execute_planned(g, planned)?;
         for row in r.rows {
             if seen.first_equal(&rows, &row).is_none() {
                 rows.push(row);
@@ -245,20 +228,6 @@ fn execute_epochs_inner(
         }
     }
     Ok(QueryResult { columns, rows })
-}
-
-/// Executes one state through the scatter-gather path when a
-/// multi-shard router is supplied, the single-pass path otherwise.
-fn run_one(
-    hg: &HyGraph,
-    planned: &PlannedQuery,
-    mode: ExecMode,
-    router: Option<ShardRouter>,
-) -> Result<QueryResult> {
-    match router {
-        Some(r) if !r.is_single() => scatter::execute_planned_sharded(hg, planned, mode, r),
-        _ => physical::execute_planned(hg, planned, mode),
-    }
 }
 
 /// Parses and executes `text` against `hg` in one call (no plan cache).
@@ -308,31 +277,17 @@ pub fn run_instrumented_temporal(
 /// injection — silently overriding either one would be a correctness
 /// trap. The bound participates in the plan fingerprint exactly as a
 /// textual bound would, so cached plans never cross epochs.
+///
+/// Every resolved state executes in one sequential pass
+/// ([`execute_planned`]) on the calling thread, whatever the engine's
+/// shard count: a serving engine runs many requests at once on its
+/// worker pool, which is where its parallelism comes from.
 pub fn run_instrumented_bound(
     hg: &HyGraph,
     text: &str,
     cache: Option<&dyn PlanCacheHook>,
     resolver: Option<&dyn TemporalResolver>,
     bound: Option<TemporalBound>,
-) -> Result<QueryResult> {
-    run_instrumented_sharded(hg, text, cache, resolver, bound, None)
-}
-
-/// [`run_instrumented_bound`] with an optional shard router: when a
-/// multi-shard `router` is supplied, every resolved state executes
-/// through the scatter-gather physical path ([`scatter`]) — bindings
-/// partitioned by anchor shard, evaluated per shard, merged at the
-/// coordinator in binding order. Results are byte-identical to the
-/// single-pass executor; only the work distribution changes. The
-/// sharded engine passes its router here so query parallelism follows
-/// the same partitioning as the storage plane.
-pub fn run_instrumented_sharded(
-    hg: &HyGraph,
-    text: &str,
-    cache: Option<&dyn PlanCacheHook>,
-    resolver: Option<&dyn TemporalResolver>,
-    bound: Option<TemporalBound>,
-    router: Option<ShardRouter>,
 ) -> Result<QueryResult> {
     let start = hygraph_metrics::enabled().then(std::time::Instant::now);
     let mut q = match parser::parse(text) {
@@ -387,11 +342,9 @@ pub fn run_instrumented_sharded(
             }
         };
         match states {
-            ResolvedStates::Live => run_one(hg, &planned, ExecMode::Auto, router),
-            ResolvedStates::At(g) => run_one(&g, &planned, ExecMode::Auto, router),
-            ResolvedStates::Epochs(gs) => {
-                execute_epochs_inner(&gs, &planned, ExecMode::Auto, router)
-            }
+            ResolvedStates::Live => physical::execute_planned(hg, &planned),
+            ResolvedStates::At(g) => physical::execute_planned(&g, &planned),
+            ResolvedStates::Epochs(gs) => execute_epochs(&gs, &planned),
         }
     })();
     if let (Some(m), Some(s)) = (hygraph_metrics::get(), start) {

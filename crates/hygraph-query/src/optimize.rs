@@ -6,7 +6,7 @@
 //! `plan_equivalence` proptest. Rules that fired are recorded on the
 //! plan and surface in `EXPLAIN` output.
 
-use crate::ast::{BinOp, Expr, Query};
+use crate::ast::{BinOp, Expr, Query, SeriesRef};
 use crate::exec::apply_binop;
 use crate::plan::{LogicalPlan, PushedPred};
 use hygraph_graph::pattern::{CmpOp, PropPredicate};
@@ -20,7 +20,6 @@ pub fn optimize(mut plan: LogicalPlan) -> LogicalPlan {
     push_predicates(&mut plan);
     eliminate_redundant_distinct(&mut plan);
     prune_duplicate_sort_keys(&mut plan);
-    memoize_series_aggs(&mut plan);
     plan
 }
 
@@ -104,13 +103,30 @@ fn pattern_vars(q: &Query) -> HashSet<&str> {
 
 /// Whether evaluating `e` can error for *some* binding. Property and
 /// variable reads on pattern-bound vars always succeed (ts-elements
-/// yield `Null` for static reads, never an error); series aggregates
-/// are fallible (reversed ranges, delta on pg-elements) and row
-/// aggregates are rejected in WHERE outright.
+/// yield `Null` for static reads, never an error). A series aggregate
+/// over a property of a pattern-bound var with a forward literal range
+/// succeeds too: a missing or static key and a ts-element yield `Null`,
+/// and a series-valued property always names an existing series. That
+/// last step rests on the instance invariant `HyGraph::validate`
+/// checks — every series-valued property references a series of the
+/// instance. It holds on every path that builds or changes a queried
+/// graph: `HyGraph::set_property` rejects an unknown series id, the
+/// `HgMutation` apply path (live commits, WAL and history replay)
+/// rejects new elements whose properties name one, both decoders
+/// (`io`, `binio`, and so checkpoints) run `validate`, and nothing
+/// removes a series. `DELTA(var)` stays fallible (it errors on a
+/// pg-element), so do reversed ranges; row aggregates are rejected in
+/// WHERE outright.
 fn infallible(e: &Expr, vars: &HashSet<&str>) -> bool {
     match e {
         Expr::Literal(_) => true,
         Expr::Prop { var, .. } | Expr::Var(var) => vars.contains(var.as_str()),
+        Expr::Agg {
+            series: SeriesRef::Property { var, .. },
+            from,
+            to,
+            ..
+        } => from <= to && vars.contains(var.as_str()),
         Expr::Agg { .. } | Expr::RowAgg { .. } => false,
         Expr::Not(inner) => infallible(inner, vars),
         Expr::Binary { lhs, rhs, .. } => infallible(lhs, vars) && infallible(rhs, vars),
@@ -261,39 +277,6 @@ fn prune_duplicate_sort_keys(plan: &mut LogicalPlan) {
     }
 }
 
-/// Enables the shared (cross-binding) memoization table for
-/// series-aggregate summaries — but only when the same `(series, range)`
-/// key can actually recur across bindings, i.e. when the pattern can
-/// bind one element into many rows: ≥ 2 hops on a path, or multiple
-/// paths. On a 1-hop pattern every binding carries a distinct element,
-/// every probe of the shared `Mutex`-guarded map is a guaranteed miss,
-/// and the table is pure overhead, so the rule stays off there.
-/// (Intra-binding reuse — `MAX(DELTA(c) IN R)` and `SUM(DELTA(c) IN R)`
-/// in one row — is handled unconditionally by the lock-free single-entry
-/// cache in the physical executor and needs no rule.) The cached summary
-/// is the exact `Copy` value the kernel computes, so cached and uncached
-/// execution are bit-identical.
-fn memoize_series_aggs(plan: &mut LogicalPlan) {
-    fn has_series_agg(e: &Expr) -> bool {
-        match e {
-            Expr::Agg { .. } => true,
-            Expr::Not(inner) => has_series_agg(inner),
-            Expr::Binary { lhs, rhs, .. } => has_series_agg(lhs) || has_series_agg(rhs),
-            Expr::RowAgg { arg, .. } => arg.as_deref().is_some_and(has_series_agg),
-            _ => false,
-        }
-    }
-    let q = &plan.query;
-    let any = q.filter.as_ref().is_some_and(has_series_agg)
-        || q.having.as_ref().is_some_and(has_series_agg)
-        || q.returns.iter().any(|r| has_series_agg(&r.expr));
-    let fan_out = q.patterns.len() > 1 || q.patterns.iter().any(|p| p.hops.len() >= 2);
-    if any && fan_out {
-        plan.memoize_aggs = true;
-        plan.rules.push("ts-agg-memoize".to_string());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,30 +367,35 @@ mod tests {
     }
 
     #[test]
-    fn series_aggs_enable_memoization_only_on_fanout() {
-        // single-node / 1-hop patterns bind each element into exactly
-        // one row: the shared table would never hit, so it stays off
-        let p = optimized("MATCH (c:Card) RETURN MEAN(DELTA(c) IN [0, 100)) AS m");
-        assert!(!p.memoize_aggs);
+    fn pushes_past_property_series_aggregates() {
+        // a property-series aggregate on a bound var with a forward
+        // range cannot error, so the prop conjunct moves into matching
         let p = optimized(
-            "MATCH (u:User)-[:USES]->(c:Card) \
-             RETURN MAX(DELTA(c) IN [0, 100)) AS hi, SUM(DELTA(c) IN [0, 100)) AS s",
+            "MATCH (a:Station)-[t:TRIP]->(b:Station) \
+             WHERE t.trips > 5 AND MAX(b.availability IN [0, 100)) > 3 RETURN COUNT(t) AS n",
         );
-        assert!(!p.memoize_aggs);
-        // ≥2 hops: the ts-element can fan out into many bindings
-        let p = optimized(
-            "MATCH (u:User)-[:USES]->(c:Card)-[t:TX]->(m:Merchant) \
-             RETURN SUM(DELTA(c) IN [0, 100)) AS s",
+        assert_eq!(p.pushed.len(), 1);
+        assert_eq!(p.pushed[0].var, "t");
+        assert_eq!(
+            p.pushed[0].pred,
+            PropPredicate::new("trips", CmpOp::Gt, Value::Int(5))
         );
-        assert!(p.memoize_aggs);
-        assert!(p.rules.contains(&"ts-agg-memoize".to_string()));
-        // multiple paths also fan out
-        let p = optimized("MATCH (c:Card), (d:Card) RETURN SUM(DELTA(c) IN [0, 100)) AS s");
-        assert!(p.memoize_aggs);
-        // fan-out without any aggregate: nothing to memoize
-        let p =
-            optimized("MATCH (u:User)-[:USES]->(c:Card)-[t:TX]->(m:Merchant) RETURN u.name AS n");
-        assert!(!p.memoize_aggs);
+        assert!(matches!(
+            p.query.filter,
+            Some(Expr::Binary { op: BinOp::Gt, .. })
+        ));
+        // a reversed range, DELTA, and an unbound var stay fallible
+        for text in [
+            "MATCH (a:Station)-[t:TRIP]->(b) \
+             WHERE t.trips > 5 AND MAX(b.availability IN [100, 0)) > 3 RETURN a",
+            "MATCH (a:Station)-[t:TRIP]->(b) \
+             WHERE t.trips > 5 AND MAX(DELTA(b) IN [0, 100)) > 3 RETURN a",
+            "MATCH (a:Station)-[t:TRIP]->(b) \
+             WHERE t.trips > 5 AND MAX(z.availability IN [0, 100)) > 3 RETURN a",
+        ] {
+            let p = optimized(text);
+            assert!(p.pushed.is_empty(), "{text}");
+        }
     }
 
     #[test]

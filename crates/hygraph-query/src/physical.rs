@@ -1,30 +1,30 @@
 //! Physical execution of optimized logical plans.
 //!
 //! A [`PlannedQuery`] bundles the optimized [`LogicalPlan`] with its
-//! compiled match [`Pattern`]s — everything about it is a function of
-//! the query text alone (no data dependence), which is what makes
-//! server-side plan caching sound. [`execute_planned`] runs the
-//! operator pipeline (Match → Filter → Project|Aggregate → Distinct →
-//! Sort → Limit) with per-operator metrics, preserving the reference
-//! interpreter's semantics exactly: rows, row order, and the first
-//! error in binding order.
+//! compiled match [`Pattern`]s and its slot program — everything
+//! about it is a function of the query text alone (no data dependence),
+//! which is what makes server-side plan caching sound.
+//! [`execute_planned`] runs the operator pipeline (Match → Filter →
+//! Project|Aggregate → Distinct → Sort → Limit) as one sequential pass:
+//! every match is filtered and projected, or folded into its group,
+//! inside the matcher's callback, and only Sort and Limit run after it.
+//! It preserves the reference interpreter's semantics exactly: rows,
+//! row order, and the first error in binding order.
 
-use crate::ast::{Query, ReturnItem};
-use crate::exec::{
-    collect_rowaggs, compile_patterns, contains_rowagg, rows_equal, sort_rows, AggCache, AggState,
-    EvalCtx, LocalAggCache, QueryResult, Row, RowAggSpec,
-};
+use crate::ast::Query;
+use crate::exec::{compile_patterns, contains_rowagg, rows_equal, sort_rows, QueryResult, Row};
 use crate::optimize::optimize;
 use crate::plan::{lower, LogicalPlan};
+use crate::program::{Eval, Program};
 use hygraph_core::HyGraph;
 use hygraph_graph::pattern::{Binding, Vars};
 use hygraph_graph::Pattern;
 use hygraph_metrics::PlanOp;
-use hygraph_types::parallel::{should_parallelize, ExecMode};
+use hygraph_types::parallel::ExecMode;
+use hygraph_types::shard::ShardRouter;
 use hygraph_types::{HyGraphError, Result, Value};
-use rayon::prelude::*;
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 use std::time::Instant;
 
 /// An optimized, compiled, data-independent execution plan — the unit
@@ -38,11 +38,14 @@ pub struct PlannedQuery {
     /// The query's variable → binding-slot table, shared by every
     /// pattern in `patterns`.
     pub vars: Vars,
+    /// The residual query's per-binding work, compiled against `vars`.
+    pub(crate) program: Program,
 }
 
 /// Plans a parsed query: validates, lowers, optimizes, and compiles
-/// the patterns. Error cases (row aggregate in WHERE, variable-length
-/// expansion cap) match the interpreter's, in the same order.
+/// the patterns and the slot program. Error cases (row aggregate in
+/// WHERE, variable-length expansion cap) match the interpreter's, in
+/// the same order.
 pub fn plan_query(q: &Query) -> Result<PlannedQuery> {
     if let Some(filter) = &q.filter {
         if contains_rowagg(filter) {
@@ -53,77 +56,110 @@ pub fn plan_query(q: &Query) -> Result<PlannedQuery> {
     }
     let plan = optimize(lower(q));
     let (patterns, vars) = compile_patterns(&plan.query, &plan.pushed)?;
+    let program = Program::compile(&plan.query, plan.grouped, &vars);
     Ok(PlannedQuery {
         plan,
         patterns,
         vars,
+        program,
     })
 }
 
-pub(crate) fn op_start() -> Option<Instant> {
+fn op_start() -> Option<Instant> {
     hygraph_metrics::enabled().then(Instant::now)
 }
 
-pub(crate) fn record_op(op: PlanOp, start: Option<Instant>, rows: usize) {
+fn record_op(op: PlanOp, start: Option<Instant>, rows: usize) {
     if let (Some(m), Some(s)) = (hygraph_metrics::get(), start) {
+        m.query.operator(op).time_us.observe_duration(s.elapsed());
+    }
+    record_rows(op, rows);
+}
+
+/// Counts one invocation of an operator fused into the match pass: its
+/// time is the pass's, recorded once under Match.
+fn record_rows(op: PlanOp, rows: usize) {
+    if let Some(m) = hygraph_metrics::get() {
         let om = m.query.operator(op);
         om.invocations.inc();
         om.rows_out.add(rows as u64);
-        om.time_us.observe_duration(s.elapsed());
     }
 }
 
-/// Executes a planned query. Parallelism follows the same
-/// `should_parallelize` decision as the interpreter; results are
-/// assembled in binding order so parallel and sequential execution are
-/// byte-identical.
-pub fn execute_planned(
-    hg: &HyGraph,
-    planned: &PlannedQuery,
-    mode: ExecMode,
-) -> Result<QueryResult> {
-    let plan = &planned.plan;
-    let q = &plan.query;
+/// Executes a planned query in one sequential pass over the matches of
+/// each compiled pattern, in pattern-then-match order. Each match runs
+/// the filter, then the projection (with the DISTINCT probe) or the
+/// group fold, inside the matcher's callback; no binding is stored.
+/// The pass stops at the first error, so the error reported is the
+/// first in binding order, the filter's before the projection's.
+pub fn execute_planned(hg: &HyGraph, planned: &PlannedQuery) -> Result<QueryResult> {
+    let q = &planned.plan.query;
+    let columns: Vec<String> = q.returns.iter().map(|r| r.alias.clone()).collect();
+    let program = &planned.program;
+    let mut ev = Eval::new(hg);
+    let mut groups = program.groups();
+    let mut rows: Vec<Row> = Vec::new();
+    let mut distinct = q.distinct.then(RowIndex::default);
+    let (mut matched, mut passed) = (0usize, 0usize);
+    let mut failed = None;
 
     let t = op_start();
-    let bindings: Vec<Binding> = planned
-        .patterns
-        .iter()
-        .flat_map(|p| p.find_all(hg.topology()))
-        .collect();
-    record_op(PlanOp::Match, t, bindings.len());
-
-    let columns: Vec<String> = q.returns.iter().map(|r| r.alias.clone()).collect();
-    let cache = plan.memoize_aggs.then(AggCache::default);
-    let ctx = RowCtx {
-        hg,
-        q,
-        vars: &planned.vars,
-        cache: cache.as_ref(),
+    let mut visit = |b: &Binding| -> Result<()> {
+        matched += 1;
+        if let Some(groups) = &mut groups {
+            if program.passes(&mut ev, b)? {
+                passed += 1;
+                groups.fold(&mut ev, b)?;
+            }
+        } else if let Some(row) = program.row(&mut ev, b)? {
+            passed += 1;
+            let seen = distinct.as_mut().and_then(|ix| ix.first_equal(&rows, &row));
+            if seen.is_none() {
+                rows.push(row);
+            }
+        }
+        Ok(())
     };
-    let mut rows = if plan.grouped {
-        run_grouped(&ctx, &bindings, mode)?
-    } else {
-        run_flat(&ctx, &bindings, mode)?
-    };
-
-    finish_rows(q, &columns, &mut rows)?;
-    Ok(QueryResult { columns, rows })
-}
-
-/// The tail of the operator pipeline — Distinct → Sort → Limit — shared
-/// by the single-pass and scatter-gather executors (the coordinator
-/// always runs these after the merge, since all three need the full row
-/// set).
-pub(crate) fn finish_rows(q: &Query, columns: &[String], rows: &mut Vec<Row>) -> Result<()> {
-    if q.distinct {
-        let t = op_start();
-        distinct_rows(rows);
-        record_op(PlanOp::Distinct, t, rows.len());
+    for p in &planned.patterns {
+        p.find(hg.topology(), |b| match visit(b) {
+            Ok(()) => true,
+            Err(e) => {
+                failed = Some(e);
+                false
+            }
+        });
+        if failed.is_some() {
+            break;
+        }
+    }
+    record_op(PlanOp::Match, t, matched);
+    if program.has_filter() {
+        record_rows(PlanOp::Filter, passed);
+    }
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    match groups {
+        Some(groups) => {
+            rows = groups.finish()?;
+            record_rows(PlanOp::Aggregate, rows.len());
+            if q.distinct {
+                // `distinct-elim` clears this flag on grouped plans; a
+                // plan edited after planning still gets what it asks for
+                distinct_rows(&mut rows);
+                record_rows(PlanOp::Distinct, rows.len());
+            }
+        }
+        None => {
+            record_rows(PlanOp::Project, passed);
+            if q.distinct {
+                record_rows(PlanOp::Distinct, rows.len());
+            }
+        }
     }
     if !q.order_by.is_empty() {
         let t = op_start();
-        sort_rows(rows, columns, &q.order_by)?;
+        sort_rows(&mut rows, &columns, &q.order_by)?;
         record_op(PlanOp::Sort, t, rows.len());
     }
     if let Some(limit) = q.limit {
@@ -131,48 +167,110 @@ pub(crate) fn finish_rows(q: &Query, columns: &[String], rows: &mut Vec<Row>) ->
         rows.truncate(limit);
         record_op(PlanOp::Limit, t, rows.len());
     }
-    Ok(())
+    Ok(QueryResult { columns, rows })
+}
+
+/// [`execute_planned`] under its former sharded name. The shard layout
+/// no longer changes how a query executes.
+pub fn execute_planned_sharded(
+    hg: &HyGraph,
+    planned: &PlannedQuery,
+    _mode: ExecMode,
+    _router: ShardRouter,
+) -> Result<QueryResult> {
+    execute_planned(hg, planned)
 }
 
 /// A hash of `row` that agrees with [`rows_equal`]: rows it calls equal
 /// hash equal. `Value::total_cmp` equates `Int(i)` with `Float(f)` when
 /// `i as f64` and `f` have the same bits, so every numeric hashes as its
-/// `f64` bits; `-0.0` and `0.0` (unequal there) may hash apart.
+/// `f64` bits; `-0.0` and `0.0` (unequal there) may hash apart. Row
+/// values can come from clients, so their contents are SipHashed; the
+/// index map then uses that hash as is ([`PassThrough`]).
 fn row_hash(row: &Row) -> u64 {
     let mut h = DefaultHasher::new();
     row.len().hash(&mut h);
     for v in row {
-        match v {
-            Value::Null => 0u8.hash(&mut h),
-            Value::Bool(b) => (1u8, b).hash(&mut h),
-            Value::Int(i) => (2u8, (*i as f64).to_bits()).hash(&mut h),
-            Value::Float(f) => (2u8, f.to_bits()).hash(&mut h),
-            Value::Str(s) => (3u8, s).hash(&mut h),
-            Value::Time(t) => (4u8, t).hash(&mut h),
-            Value::Span(d) => (5u8, d).hash(&mut h),
-        }
+        value_hash(v, &mut h);
     }
     h.finish()
 }
 
+fn value_hash(v: &Value, h: &mut DefaultHasher) {
+    match v {
+        Value::Null => 0u8.hash(h),
+        Value::Bool(b) => (1u8, b).hash(h),
+        Value::Int(i) => (2u8, (*i as f64).to_bits()).hash(h),
+        Value::Float(f) => (2u8, f.to_bits()).hash(h),
+        Value::Str(s) => (3u8, s).hash(h),
+        Value::Time(t) => (4u8, t).hash(h),
+        Value::Span(d) => (5u8, d).hash(h),
+    }
+}
+
+/// A [`Hasher`] for keys that already are hashes: it passes the `u64`
+/// through instead of hashing it again.
+#[derive(Default)]
+pub(crate) struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
 /// A hash index over an append-only row list, answering "the first
 /// earlier row `rows_equal` to this one" in expected O(1) instead of a
-/// linear scan. Buckets keep insertion order, and every row equal to a
+/// linear scan. Each bucket keeps its first position inline and any
+/// colliding ones after it in insertion order; every row equal to a
 /// probe shares its bucket, so the answer is the linear scan's.
 #[derive(Default)]
-pub(crate) struct RowIndex(HashMap<u64, Vec<usize>>);
+pub(crate) struct RowIndex(HashMap<u64, (usize, Vec<usize>), BuildHasherDefault<PassThrough>>);
 
 impl RowIndex {
     /// The position in `rows` of the first row equal to `row`. On a
     /// miss, records `row` at position `rows.len()`: the caller must
     /// push it next.
     pub(crate) fn first_equal(&mut self, rows: &[Row], row: &Row) -> Option<usize> {
-        let bucket = self.0.entry(row_hash(row)).or_default();
-        let hit = bucket.iter().copied().find(|&i| rows_equal(&rows[i], row));
-        if hit.is_none() {
-            bucket.push(rows.len());
+        self.probe(row_hash(row), rows.len(), |i| rows_equal(&rows[i], row))
+    }
+
+    /// [`Self::first_equal`] over single values, under `total_cmp`
+    /// equality.
+    pub(crate) fn first_equal_value(&mut self, vals: &[Value], v: &Value) -> Option<usize> {
+        let mut h = DefaultHasher::new();
+        value_hash(v, &mut h);
+        self.probe(h.finish(), vals.len(), |i| vals[i].total_cmp(v).is_eq())
+    }
+
+    fn probe(&mut self, hash: u64, next: usize, eq: impl Fn(usize) -> bool) -> Option<usize> {
+        use std::collections::hash_map::Entry;
+        match self.0.entry(hash) {
+            Entry::Vacant(e) => {
+                e.insert((next, Vec::new()));
+                None
+            }
+            Entry::Occupied(mut e) => {
+                let (first, rest) = e.get_mut();
+                let hit = std::iter::once(*first)
+                    .chain(rest.iter().copied())
+                    .find(|&i| eq(i));
+                if hit.is_none() {
+                    rest.push(next);
+                }
+                hit
+            }
         }
-        hit
     }
 }
 
@@ -189,267 +287,10 @@ pub(crate) fn distinct_rows(rows: &mut Vec<Row>) {
     *rows = kept;
 }
 
-/// What per-binding evaluation reads besides the binding itself: the
-/// shared inputs of the Filter, Project and Aggregate operators.
-#[derive(Clone, Copy)]
-pub(crate) struct RowCtx<'a> {
-    pub(crate) hg: &'a HyGraph,
-    pub(crate) q: &'a Query,
-    /// The query's variable → binding-slot table.
-    pub(crate) vars: &'a Vars,
-    /// The shared series-aggregate memo table, when the plan memoizes.
-    pub(crate) cache: Option<&'a AggCache>,
-}
-
-impl<'a> RowCtx<'a> {
-    fn eval_ctx(&self, binding: &'a Binding, local: &'a LocalAggCache) -> EvalCtx<'a> {
-        EvalCtx {
-            hg: self.hg,
-            vars: self.vars,
-            binding,
-            agg_cache: self.cache,
-            local_agg: Some(local),
-        }
-    }
-}
-
-/// Evaluates the residual filter over every binding, returning one
-/// `Result<bool>` per binding (aligned by index). All bindings are
-/// evaluated — no short-circuit — matching the interpreter, which
-/// collects every per-binding result before scanning for the first
-/// error.
-pub(crate) fn filter_stage(rc: &RowCtx<'_>, bindings: &[Binding], par: bool) -> Vec<Result<bool>> {
-    match &rc.q.filter {
-        None => (0..bindings.len()).map(|_| Ok(true)).collect(),
-        Some(_) => {
-            let t = op_start();
-            let eval = |binding: &Binding| -> Result<bool> { eval_filter(rc, binding) };
-            let results: Vec<Result<bool>> = if par {
-                bindings.par_iter().map(eval).collect()
-            } else {
-                bindings.iter().map(eval).collect()
-            };
-            let passed = results.iter().filter(|r| matches!(r, Ok(true))).count();
-            record_op(PlanOp::Filter, t, passed);
-            results
-        }
-    }
-}
-
-/// Evaluates the residual WHERE filter for one binding — the per-row
-/// unit of the Filter operator, shared with the scatter-gather
-/// executor. Callers guarantee `q.filter` is `Some`.
-pub(crate) fn eval_filter(rc: &RowCtx<'_>, binding: &Binding) -> Result<bool> {
-    let filter = rc.q.filter.as_ref().expect("caller checked q.filter");
-    let local = LocalAggCache::default();
-    Ok(rc.eval_ctx(binding, &local).eval(filter)?.as_bool() == Some(true))
-}
-
-/// Evaluates the RETURN projection for one binding — the per-row unit
-/// of the Project operator, shared with the scatter-gather executor.
-pub(crate) fn project_row(rc: &RowCtx<'_>, binding: &Binding) -> Result<Row> {
-    let local = LocalAggCache::default();
-    let ctx = rc.eval_ctx(binding, &local);
-    rc.q.returns
-        .iter()
-        .map(|ReturnItem { expr, .. }| ctx.eval(expr))
-        .collect()
-}
-
-fn run_flat(rc: &RowCtx<'_>, bindings: &[Binding], mode: ExecMode) -> Result<Vec<Row>> {
-    let par = should_parallelize(mode, bindings.len());
-    let filter_pass = filter_stage(rc, bindings, par);
-
-    let t = op_start();
-    let passing: Vec<&Binding> = bindings
-        .iter()
-        .zip(&filter_pass)
-        .filter(|(_, r)| matches!(r, Ok(true)))
-        .map(|(b, _)| b)
-        .collect();
-    let project = |binding: &&Binding| -> Result<Row> { project_row(rc, binding) };
-    let projected: Vec<Result<Row>> = if par {
-        passing.par_iter().map(project).collect()
-    } else {
-        passing.iter().map(project).collect()
-    };
-    record_op(
-        PlanOp::Project,
-        t,
-        projected.iter().filter(|r| r.is_ok()).count(),
-    );
-
-    // assemble in binding order, interleaving the filter and project
-    // result streams: a filter error at binding i surfaces before any
-    // project error at j > i, exactly as the interpreter reports it
-    let mut rows = Vec::with_capacity(passing.len());
-    let mut proj = projected.into_iter();
-    for fr in filter_pass {
-        if fr? {
-            rows.push(proj.next().expect("aligned with filter passes")?);
-        }
-    }
-    Ok(rows)
-}
-
-/// The data-independent shape of a grouped query: which RETURN items
-/// are grouping keys and the deterministic aggregate-spec order.
-pub(crate) struct GroupingLayout {
-    /// Indices of aggregate-free RETURN items (the grouping keys).
-    pub(crate) key_items: Vec<usize>,
-    /// Aggregate specs: RETURN items first, then HAVING.
-    pub(crate) specs: Vec<RowAggSpec>,
-}
-
-pub(crate) fn grouping_layout(q: &Query) -> GroupingLayout {
-    // grouping keys: the aggregate-free RETURN items
-    let key_items: Vec<usize> = q
-        .returns
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !contains_rowagg(&r.expr))
-        .map(|(i, _)| i)
-        .collect();
-    // aggregate specs in deterministic order: RETURN items, then HAVING
-    let mut specs: Vec<RowAggSpec> = Vec::new();
-    for r in &q.returns {
-        collect_rowaggs(&r.expr, &mut specs);
-    }
-    if let Some(h) = &q.having {
-        collect_rowaggs(h, &mut specs);
-    }
-    GroupingLayout { key_items, specs }
-}
-
-/// Evaluates one binding's grouping keys + aggregate arguments — the
-/// parallelisable pure work of the Aggregate operator; keys before
-/// args, matching the interpreter's per-binding order.
-pub(crate) fn eval_key_args(
-    rc: &RowCtx<'_>,
-    layout: &GroupingLayout,
-    binding: &Binding,
-) -> Result<(Row, Vec<Value>)> {
-    let local = LocalAggCache::default();
-    let ctx = rc.eval_ctx(binding, &local);
-    let mut key = Vec::with_capacity(layout.key_items.len());
-    for &i in &layout.key_items {
-        key.push(ctx.eval(&rc.q.returns[i].expr)?);
-    }
-    let mut args = Vec::with_capacity(layout.specs.len());
-    for spec in &layout.specs {
-        args.push(match &spec.arg {
-            None => Value::Int(1), // COUNT(*)
-            Some(arg) => ctx.eval(arg)?,
-        });
-    }
-    Ok((key, args))
-}
-
-/// The coordinator-side merge of a grouped query: a sequential fold in
-/// global binding order (group creation order and aggregate update
-/// order stay deterministic, and error precedence interleaves filter
-/// and key/arg errors exactly like the interpreter's single per-binding
-/// pass), then per-group finalize + HAVING. `evaluated` must align with
-/// the `Ok(true)` entries of `filter_pass`, in the same order.
-pub(crate) fn fold_groups(
-    q: &Query,
-    layout: &GroupingLayout,
-    filter_pass: Vec<Result<bool>>,
-    evaluated: Vec<Result<(Row, Vec<Value>)>>,
-) -> Result<Vec<Row>> {
-    let GroupingLayout { key_items, specs } = layout;
-    // groups in creation order: keys[i] owns states[i]
-    let mut keys: Vec<Row> = Vec::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    let mut index = RowIndex::default();
-    let mut ka = evaluated.into_iter();
-    for fr in filter_pass {
-        if !fr? {
-            continue;
-        }
-        let (key, args) = ka.next().expect("aligned with filter passes")?;
-        let gi = index.first_equal(&keys, &key).unwrap_or_else(|| {
-            keys.push(key);
-            states.push(vec![AggState::default(); specs.len()]);
-            keys.len() - 1
-        });
-        for ((spec, state), arg) in specs.iter().zip(states[gi].iter_mut()).zip(args) {
-            state.update(Some(&arg), spec.distinct && spec.arg.is_some());
-        }
-    }
-    // Cypher semantics: no grouping keys and no matches -> one empty group
-    if keys.is_empty() && key_items.is_empty() {
-        keys.push(Vec::new());
-        states.push(vec![AggState::default(); specs.len()]);
-    }
-
-    // finalize each group
-    let mut rows = Vec::with_capacity(keys.len());
-    for (key, states) in keys.iter().zip(&states) {
-        let agg_values: Vec<Value> = specs
-            .iter()
-            .zip(states)
-            .map(|(spec, state)| state.finalize(spec.func, spec.arg.is_none()))
-            .collect();
-        // map each key RETURN item to its pre-computed value
-        let key_lookup = |expr: &crate::ast::Expr| -> Option<Value> {
-            key_items
-                .iter()
-                .position(|&i| &q.returns[i].expr == expr)
-                .map(|pos| key[pos].clone())
-        };
-        let mut cursor = 0usize;
-        let mut row = Vec::with_capacity(q.returns.len());
-        let mut keep = true;
-        for r in &q.returns {
-            row.push(crate::exec::eval_final(
-                None,
-                &r.expr,
-                &agg_values,
-                &mut cursor,
-                &key_lookup,
-            )?);
-        }
-        if let Some(h) = &q.having {
-            let v = crate::exec::eval_final(None, h, &agg_values, &mut cursor, &key_lookup)?;
-            keep = v.as_bool() == Some(true);
-        }
-        if keep {
-            rows.push(row);
-        }
-    }
-    Ok(rows)
-}
-
-fn run_grouped(rc: &RowCtx<'_>, bindings: &[Binding], mode: ExecMode) -> Result<Vec<Row>> {
-    let layout = grouping_layout(rc.q);
-    let par = should_parallelize(mode, bindings.len());
-    let filter_pass = filter_stage(rc, bindings, par);
-
-    let t = op_start();
-    let passing: Vec<&Binding> = bindings
-        .iter()
-        .zip(&filter_pass)
-        .filter(|(_, r)| matches!(r, Ok(true)))
-        .map(|(b, _)| b)
-        .collect();
-    let eval_ka =
-        |binding: &&Binding| -> Result<(Row, Vec<Value>)> { eval_key_args(rc, &layout, binding) };
-    let evaluated: Vec<Result<(Row, Vec<Value>)>> = if par {
-        passing.par_iter().map(eval_ka).collect()
-    } else {
-        passing.iter().map(eval_ka).collect()
-    };
-
-    let rows = fold_groups(rc.q, &layout, filter_pass, evaluated)?;
-    record_op(PlanOp::Aggregate, t, rows.len());
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_interpreted_mode, execute_mode};
+    use crate::exec::{execute, execute_interpreted_mode};
     use crate::parser::parse;
     use hygraph_core::HyGraphBuilder;
     use hygraph_ts::TimeSeries;
@@ -526,7 +367,7 @@ mod tests {
             let q = parse(text).unwrap();
             for mode in [ExecMode::Sequential, ExecMode::Parallel] {
                 let legacy = execute_interpreted_mode(&b.hygraph, &q, mode);
-                let planned = execute_mode(&b.hygraph, &q, mode);
+                let planned = execute(&b.hygraph, &q);
                 match (legacy, planned) {
                     (Ok(l), Ok(p)) => {
                         let mut wl = hygraph_types::bytes::ByteWriter::new();
@@ -587,7 +428,7 @@ mod tests {
         let planned = plan_query(&q).unwrap();
         assert_eq!(planned.plan.pushed.len(), 2);
         assert!(planned.plan.query.filter.is_none());
-        let r = execute_planned(&b.hygraph, &planned, ExecMode::Sequential).unwrap();
+        let r = execute_planned(&b.hygraph, &planned).unwrap();
         let l = execute_interpreted_mode(&b.hygraph, &q, ExecMode::Sequential).unwrap();
         assert_eq!(r, l);
         assert_eq!(
@@ -649,13 +490,67 @@ mod tests {
         assert!(distinct.iter().zip(&rows).all(|(a, b)| rows_equal(a, b)));
     }
 
+    /// Two vertices, a ts-vertex and a pg-vertex, in the given id order.
+    /// `DELTA(x)` errors on the pg one; a reversed range errors wherever
+    /// it is evaluated.
+    fn mixed(ts_first: bool) -> HyGraph {
+        let mut hg = HyGraph::new();
+        let s = TimeSeries::generate(Timestamp::ZERO, Duration::from_millis(10), 10, |i| {
+            1.0 + i as f64
+        });
+        let sid = hg.add_univariate_series("s", &s);
+        for ts in [ts_first, !ts_first] {
+            if ts {
+                hg.add_ts_vertex(["N"], sid).unwrap();
+            } else {
+                hg.add_pg_vertex(["N"], props! {"name" => "p"});
+            }
+        }
+        hg
+    }
+
+    /// The streaming pass stops at the first failing binding and, within
+    /// a binding, at the first failing stage: `text` must fail with the
+    /// interpreter's error, which contains `want`.
+    fn assert_first_error(hg: &HyGraph, text: &str, want: &str) {
+        let q = parse(text).unwrap();
+        let planned = execute_planned(hg, &plan_query(&q).unwrap()).unwrap_err();
+        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+            let oracle = execute_interpreted_mode(hg, &q, mode).unwrap_err();
+            assert_eq!(planned.to_string(), oracle.to_string(), "{text}");
+        }
+        assert!(planned.to_string().contains(want), "{text}: {planned}");
+    }
+
+    #[test]
+    fn flat_pass_reports_the_first_failing_binding() {
+        let text = "MATCH (x:N) WHERE MEAN(DELTA(x) IN [0, 1000)) > 0 \
+                    RETURN MEAN(DELTA(x) IN [5, 0)) AS bad";
+        // binding 0 passes the filter and fails in projection; binding 1
+        // fails in the filter
+        assert_first_error(&mixed(true), text, "reversed");
+        // binding 0 fails in the filter, before its projection could
+        assert_first_error(&mixed(false), text, "kind mismatch");
+    }
+
+    #[test]
+    fn grouped_pass_reports_the_first_failing_binding() {
+        let text = "MATCH (x:N) RETURN MEAN(DELTA(x) IN [0, 1000)) AS k, \
+                    SUM(MEAN(DELTA(x) IN [5, 0))) AS bad";
+        // binding 0 has a key and fails in its argument; binding 1 fails
+        // in its key
+        assert_first_error(&mixed(true), text, "reversed");
+        // binding 0 fails in its key, before its argument could
+        assert_first_error(&mixed(false), text, "kind mismatch");
+    }
+
     #[test]
     fn planned_query_is_reusable() {
         let b = instance();
         let q = parse("MATCH (u:User) RETURN COUNT(*) AS n").unwrap();
         let planned = plan_query(&q).unwrap();
-        let r1 = execute_planned(&b.hygraph, &planned, ExecMode::Auto).unwrap();
-        let r2 = execute_planned(&b.hygraph, &planned, ExecMode::Auto).unwrap();
+        let r1 = execute_planned(&b.hygraph, &planned).unwrap();
+        let r2 = execute_planned(&b.hygraph, &planned).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(r1.rows, vec![vec![Value::Int(2)]]);
     }

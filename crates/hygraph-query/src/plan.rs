@@ -46,9 +46,6 @@ pub struct LogicalPlan {
     /// Canonical fingerprint of the *input* query (pre-optimization,
     /// `explain` excluded) — the plan-cache key.
     pub fingerprint: u64,
-    /// Whether series aggregates should be memoized across bindings
-    /// during execution (set by the `ts-agg-memoize` rule).
-    pub memoize_aggs: bool,
     /// Names of the rewrite rules that fired, in application order.
     pub rules: Vec<String>,
 }
@@ -60,7 +57,6 @@ pub fn lower(q: &Query) -> LogicalPlan {
         pushed: Vec::new(),
         grouped: q.having.is_some() || q.returns.iter().any(|r| contains_rowagg(&r.expr)),
         fingerprint: fingerprint(q),
-        memoize_aggs: false,
         rules: Vec::new(),
     }
 }

@@ -482,8 +482,7 @@ impl std::fmt::Debug for Client {
 ///
 /// A multi-shard engine serves the same API with snapshot reads:
 /// queries pin the latest published epoch (never blocking behind a
-/// writer) and execute scatter-gather across the shard partitioning,
-/// byte-identical to a single-shard engine.
+/// writer) and answer byte-identically to a single-shard engine.
 ///
 /// ```
 /// use hygraph_persist::HgMutation;

@@ -15,9 +15,8 @@
 //! [`Arc<HyGraph>`] snapshot into a dedicated slot. Queries pin the
 //! current snapshot (one `Arc` clone — the interior is copy-on-write,
 //! so publication is O(changed structure), not O(data)) and execute
-//! against it without blocking behind writers, through the
-//! scatter-gather physical path partitioned by the same
-//! [`ShardRouter`] that places WAL frames. A snapshot is published
+//! against it without blocking behind writers, each in one sequential
+//! pass on the worker thread that serves it. A snapshot is published
 //! only after the whole batch applied (and, for durable backends,
 //! after every involved shard's WAL synced), so a reader can never
 //! observe a torn batch. The engine is the single place that maps
@@ -299,8 +298,8 @@ impl Engine {
     /// Re-partitions a (memory-backed) engine to exactly `shards`
     /// shards, regardless of the environment — how tests and the bench
     /// harness pin the lock discipline. `1` restores the legacy
-    /// readers/writer-lock engine; `> 1` enables snapshot reads and
-    /// scatter-gather execution. Durable backends ignore this (their
+    /// readers/writer-lock engine; `> 1` enables snapshot reads.
+    /// Durable backends ignore this (their
     /// shard count is recorded on disk); re-shard those by reopening
     /// the directory via [`Engine::open_durable`] under a different
     /// `HYGRAPH_SHARDS`.
@@ -463,7 +462,7 @@ impl Engine {
             // Multi-shard: pin the published epoch (one Arc clone, the
             // slot lock held only for that clone) and execute against
             // the immutable snapshot — never blocking behind a writer
-            // mid-commit — through the scatter-gather path.
+            // mid-commit.
             Some(slot) => {
                 let pin = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
                 self.run_pinned(&pin, text, bound)
@@ -474,13 +473,12 @@ impl Engine {
             None => {
                 let guard = self.read();
                 let history = self.history.as_ref().map(|h| h as &dyn TemporalResolver);
-                hygraph_query::run_instrumented_sharded(
+                hygraph_query::run_instrumented_bound(
                     guard.graph(),
                     text,
                     self.plan_cache(),
                     history,
                     bound,
-                    None,
                 )
             }
         }
@@ -497,13 +495,12 @@ impl Engine {
         bound: Option<TemporalBound>,
     ) -> Result<QueryResult> {
         let history = self.history.as_ref().map(|h| h.pinned(pin.commit_ts));
-        hygraph_query::run_instrumented_sharded(
+        hygraph_query::run_instrumented_bound(
             &pin.graph,
             text,
             self.plan_cache(),
             history.as_ref().map(|r| r as &dyn TemporalResolver),
             bound,
-            Some(self.router),
         )
     }
 

@@ -1,15 +1,15 @@
-//! Scatter-gather ≡ single-pass equivalence: the sharded physical path
-//! must be **byte-identical** (wire encoding of rows, and error text)
-//! to [`hygraph_query::execute_planned`] for every query, every shard
-//! count, and both execution modes — `HYGRAPH_SHARDS=1` is the exact
-//! pre-shard engine, and N > 1 only redistributes work.
+//! Sharded engine ≡ single pass: an [`Engine`] at 1, 2 and 4 shards
+//! must answer every query **byte-identically** (wire encoding of rows,
+//! and error text) to [`hygraph_query::execute_planned`] on the same
+//! graph — one shard takes the readers/writer-lock path, more shards
+//! read published snapshots, and neither may change an answer.
 
 use hygraph_core::HyGraphBuilder;
-use hygraph_query::{execute_planned, execute_planned_sharded, plan_query};
+use hygraph_query::{execute_planned, plan_query};
+use hygraph_server::{Backend, Engine};
+use hygraph_temporal::HistoryConfig;
 use hygraph_ts::TimeSeries;
 use hygraph_types::bytes::ByteWriter;
-use hygraph_types::parallel::ExecMode;
-use hygraph_types::shard::ShardRouter;
 use hygraph_types::{props, Duration, Timestamp};
 use proptest::prelude::*;
 
@@ -83,24 +83,37 @@ fn wire_bytes(r: &hygraph_query::QueryResult) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn assert_identical(hg: &hygraph_core::HyGraph, text: &str, shards: usize, mode: ExecMode) {
+/// In-memory engines over `hg` at 1, 2 and 4 shards, history off.
+fn engines(hg: &hygraph_core::HyGraph) -> Vec<(usize, Engine)> {
+    [1usize, 2, 4]
+        .into_iter()
+        .map(|shards| {
+            let backend = Backend::memory(hg.clone());
+            let engine = Engine::with_history_config(backend, 64, HistoryConfig::disabled())
+                .with_shards(shards);
+            (shards, engine)
+        })
+        .collect()
+}
+
+fn assert_identical(hg: &hygraph_core::HyGraph, engines: &[(usize, Engine)], text: &str) {
     let q = hygraph_query::parser::parse(text).unwrap();
     let planned = plan_query(&q).unwrap();
-    let single = execute_planned(hg, &planned, mode);
-    let sharded = execute_planned_sharded(hg, &planned, mode, ShardRouter::new(shards));
-    match (single, sharded) {
-        (Ok(s), Ok(g)) => assert_eq!(
-            wire_bytes(&s),
-            wire_bytes(&g),
-            "wire bytes diverge at {shards} shards ({mode:?}): {text}"
-        ),
-        (Err(se), Err(ge)) => assert_eq!(
-            se.to_string(),
-            ge.to_string(),
-            "error text diverges at {shards} shards ({mode:?}): {text}"
-        ),
-        (s, g) => {
-            panic!("outcome diverges at {shards} shards ({mode:?}) on {text}: {s:?} vs {g:?}")
+    for (shards, engine) in engines {
+        let single = execute_planned(hg, &planned);
+        let sharded = engine.query(text);
+        match (single, sharded) {
+            (Ok(s), Ok(g)) => assert_eq!(
+                wire_bytes(&s),
+                wire_bytes(&g),
+                "wire bytes diverge at {shards} shards: {text}"
+            ),
+            (Err(se), Err(ge)) => assert_eq!(
+                se.to_string(),
+                ge.to_string(),
+                "error text diverges at {shards} shards: {text}"
+            ),
+            (s, g) => panic!("outcome diverges at {shards} shards on {text}: {s:?} vs {g:?}"),
         }
     }
 }
@@ -108,17 +121,14 @@ fn assert_identical(hg: &hygraph_core::HyGraph, text: &str, shards: usize, mode:
 #[test]
 fn corpus_is_byte_identical_across_shard_counts() {
     let b = instance();
+    let engines = engines(&b.hygraph);
     for text in QUERIES {
-        for shards in [1usize, 2, 3, 4, 7] {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                assert_identical(&b.hygraph, text, shards, mode);
-            }
-        }
+        assert_identical(&b.hygraph, &engines, text);
     }
 }
 
-/// Randomised sweep: generated graph shapes × corpus queries × shard
-/// counts. The graph generator varies vertex/edge counts and series
+/// Randomised sweep: generated graph shapes × corpus queries, each
+/// against engines at every shard count. The graph generator varies vertex/edge counts and series
 /// values so binding sets, group shapes, and error rows shift around
 /// the shard boundaries.
 fn built_graph(users: usize, merchants: usize, seed: u64) -> hygraph_core::builder::BuiltHyGraph {
@@ -170,12 +180,9 @@ proptest! {
         users in 1usize..6,
         merchants in 1usize..5,
         seed in 0u64..1000,
-        shards in 1usize..9,
         query_idx in 0usize..QUERIES.len(),
     ) {
         let b = built_graph(users, merchants, seed);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            assert_identical(&b.hygraph, QUERIES[query_idx], shards, mode);
-        }
+        assert_identical(&b.hygraph, &engines(&b.hygraph), QUERIES[query_idx]);
     }
 }

@@ -45,7 +45,6 @@ use hygraph_persist::HgMutation;
 use hygraph_query::ast::Query;
 use hygraph_query::incremental::{diff_rows, support, uses_series, Delta, IncState};
 use hygraph_query::{execute_planned, plan_query, PlannedQuery, QueryResult, Row};
-use hygraph_types::parallel::ExecMode;
 use hygraph_types::shard::ShardRouter;
 use hygraph_types::{EdgeId, HyGraphError, Label, Result, SeriesId, VertexId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -419,7 +418,7 @@ impl SubscriptionRegistry {
                     Mode::Incremental(st)
                 }
                 Err(_) => {
-                    let res = execute_planned(hg, &planned, ExecMode::Auto)?;
+                    let res = execute_planned(hg, &planned)?;
                     Mode::Rerun {
                         planned,
                         rows: res.rows,
@@ -731,7 +730,7 @@ impl SubscriptionRegistry {
                     if let Some(m) = hygraph_metrics::get() {
                         m.sub.fallback_reruns.inc();
                     }
-                    match execute_planned(hg, planned, ExecMode::Auto) {
+                    match execute_planned(hg, planned) {
                         Ok(res) => {
                             let d = diff_rows(rows, &res.rows);
                             *rows = res.rows;

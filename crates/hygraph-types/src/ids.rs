@@ -143,6 +143,14 @@ impl PropertyKey {
     }
 }
 
+/// Keys compare, order and hash exactly as their text does, so maps
+/// keyed by `PropertyKey` can be probed with a `&str`.
+impl std::borrow::Borrow<str> for PropertyKey {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl From<&str> for PropertyKey {
     fn from(s: &str) -> Self {
         Self(s.to_owned())

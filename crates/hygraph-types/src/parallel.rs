@@ -19,7 +19,7 @@
 //!    overrides the environment for the rest of the process (tests use
 //!    this to force a fixed thread count regardless of machine size).
 //! 4. Per-call: an explicit [`ExecMode`] passed to APIs that accept one
-//!    (e.g. `execute_mode`) bypasses the global knobs entirely.
+//!    (e.g. `pagerank_mode`) bypasses the global knobs entirely.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

@@ -1,6 +1,6 @@
 //! Persistent (structurally shared) maps for snapshot publication.
 //!
-//! The sharded engine publishes an immutable [`HyGraph`] snapshot per
+//! The sharded engine publishes an immutable `HyGraph` snapshot per
 //! commit epoch and readers pin it wait-free. With ordinary `HashMap`s
 //! behind `Arc::make_mut`, a pinned snapshot forces the *next* commit to
 //! deep-copy every interior map it touches — O(graph) per commit the

@@ -110,10 +110,7 @@ impl PropertyMap {
 
     /// Looks up a property by string key.
     pub fn get_str(&self, key: &str) -> Option<&PropertyValue> {
-        // BTreeMap<PropertyKey, _> cannot borrow-lookup by &str without an
-        // Ord-compatible Borrow impl; a transient key keeps the API simple
-        // and this path is not hot.
-        self.entries.get(&PropertyKey::new(key))
+        self.entries.get(key)
     }
 
     /// Static scalar at `key`, if the property exists and is static.

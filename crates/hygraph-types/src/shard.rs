@@ -5,7 +5,7 @@
 //! the time series attached to it and owns its own WAL stream (see
 //! `hygraph-persist`'s sharded store). This module is the single source
 //! of truth for *how many* shards exist and *which* shard an element
-//! routes to, so the persist layer, the query scatter-gather path, the
+//! routes to, so the persist layer, the engine, the
 //! subscription router, and the metrics registry all agree without
 //! depending on each other.
 //!
@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::ids::{EdgeId, SeriesId, VertexId};
+use crate::ids::{SeriesId, VertexId};
 
 /// Upper bound on the shard count. Keeps per-shard metric slots and the
 /// checkpoint's per-shard LSN vector small and fixed-size; far above any
@@ -152,13 +152,8 @@ impl ShardRouter {
         (id.raw() % self.shards as u64) as usize
     }
 
-    /// The shard owning a vertex (anchor routing for scatter-gather).
+    /// The shard owning a vertex.
     pub fn of_vertex(&self, id: VertexId) -> usize {
-        (id.raw() % self.shards as u64) as usize
-    }
-
-    /// The shard owning an edge.
-    pub fn of_edge(&self, id: EdgeId) -> usize {
         (id.raw() % self.shards as u64) as usize
     }
 
@@ -181,7 +176,6 @@ mod tests {
         for raw in 0..100u64 {
             assert_eq!(r.of_series(SeriesId::new(raw)), (raw % 4) as usize);
             assert_eq!(r.of_vertex(VertexId::new(raw)), (raw % 4) as usize);
-            assert_eq!(r.of_edge(EdgeId::new(raw)), (raw % 4) as usize);
             assert_eq!(r.of_csn(raw), (raw % 4) as usize);
             assert!(r.of_csn(raw) < r.shards());
         }

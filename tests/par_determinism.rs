@@ -3,8 +3,9 @@
 //! Every parallelized path in the workspace promises *bit-identical*
 //! results to its sequential counterpart, for any thread count. These
 //! properties pin that promise end-to-end on randomly generated inputs
-//! for the three flagship paths: PageRank (graph layer), HyQL execution
-//! (query layer), and the pairwise correlation matrix (ts layer).
+//! for the flagship paths: PageRank (graph layer) and the pairwise
+//! correlation matrix (ts layer). (HyQL execution has no parallel path:
+//! each request runs in one sequential pass.)
 //!
 //! The thread pool is forced to 4 threads with a size-1 sequential
 //! cutoff, so the `Parallel` runs genuinely chunk work across threads
@@ -12,7 +13,6 @@
 
 use hygraph::graph::algorithms::pagerank::{pagerank_mode, PageRankConfig};
 use hygraph::prelude::*;
-use hygraph::query_engine::{execute_mode, parser};
 use hygraph::ts::ops::correlate;
 use hygraph::types::parallel::{ExecMode, ParallelConfig};
 use proptest::prelude::*;
@@ -87,53 +87,6 @@ proptest! {
             for (a, b) in rs.iter().zip(rp) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn query_execute_parallel_matches_sequential(
-        n_users in 1usize..8,
-        n_cards in 1usize..4,
-        seed in 1u64..1_000_000,
-    ) {
-        force_threads();
-        let mut st = seed | 1;
-        let mut hg = HyGraph::new();
-        for u in 0..n_users {
-            let user = hg.add_pg_vertex(["User"], props! {"name" => format!("u{u}")});
-            for _ in 0..n_cards {
-                let base = unit_f64(&mut st) * 1000.0;
-                let s = TimeSeries::generate(
-                    Timestamp::ZERO,
-                    Duration::from_hours(1),
-                    24,
-                    move |h| base + h as f64,
-                );
-                let sid = hg.add_univariate_series("spend", &s);
-                let card = hg.add_ts_vertex(["Card"], sid).unwrap();
-                let fee = (unit_f64(&mut st) * 10.0 * 100.0).round() / 100.0;
-                hg.add_pg_edge(user, card, ["USES"], props! {"fee" => fee}).unwrap();
-            }
-        }
-        // a flat query mixing WHERE, a per-row series aggregate, and
-        // ordering — exercises the per-binding parallel filter/project
-        let q_flat = parser::parse(
-            "MATCH (u:User)-[e:USES]->(c:Card) \
-             WHERE MEAN(DELTA(c) IN [0, 86400000)) > 300 \
-             RETURN u.name AS who, e.fee AS fee ORDER BY who, fee",
-        ).unwrap();
-        // a grouped query — exercises parallel pre-aggregation eval with
-        // the sequential in-order group fold
-        let q_grouped = parser::parse(
-            "MATCH (u:User)-[e:USES]->(c:Card) \
-             RETURN u.name AS who, COUNT(c) AS cards, SUM(e.fee) AS fees \
-             ORDER BY who",
-        ).unwrap();
-        for q in [&q_flat, &q_grouped] {
-            let seq = execute_mode(&hg, q, ExecMode::Sequential).unwrap();
-            let par = execute_mode(&hg, q, ExecMode::Parallel).unwrap();
-            prop_assert_eq!(&seq.columns, &par.columns);
-            prop_assert_eq!(&seq.rows, &par.rows);
         }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Randomly composed HyQL queries must produce **byte-identical** encoded
 //! results through the legacy one-pass interpreter
-//! ([`hygraph_query::execute_interpreted_mode`]) and the
-//! plan → optimize → physical pipeline ([`hygraph_query::execute_mode`]),
-//! in both execution modes. Queries that fail must fail with the *same*
+//! ([`hygraph_query::execute_interpreted_mode`], in both execution
+//! modes) and the plan → optimize → streaming physical pipeline
+//! ([`hygraph_query::execute`]). Queries that fail must fail with the *same*
 //! error through both paths — the optimizer is not allowed to turn an
 //! erroring query into a succeeding one (or vice versa), nor to change
 //! which error surfaces first.
@@ -222,7 +222,7 @@ proptest! {
         };
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
             let legacy = hq::execute_interpreted_mode(&hg, &q, mode);
-            let planned = hq::execute_mode(&hg, &q, mode);
+            let planned = hq::execute(&hg, &q);
             match (&legacy, &planned) {
                 (Ok(l), Ok(p)) => prop_assert_eq!(
                     encoded(l),
@@ -272,7 +272,7 @@ fn planner_matches_interpreter_on_fixed_corner_cases() {
         let q = hq::parser::parse(text).expect("fixed query parses");
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
             let legacy = hq::execute_interpreted_mode(&hg, &q, mode);
-            let planned = hq::execute_mode(&hg, &q, mode);
+            let planned = hq::execute(&hg, &q);
             match (&legacy, &planned) {
                 (Ok(l), Ok(p)) => assert_eq!(
                     encoded(l),

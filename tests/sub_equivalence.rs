@@ -11,7 +11,6 @@ use hygraph::prelude::*;
 use hygraph::query_engine as hq;
 use hygraph::sub::{apply_delta, Delta, DeltaSink, SubConfig, SubscriptionRegistry};
 use hygraph::types::bytes::ByteWriter;
-use hygraph::types::parallel::ExecMode;
 use hygraph::types::props;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -178,21 +177,19 @@ proptest! {
                     .map_err(|e| TestCaseError::fail(format!("apply_delta: {e}")))?;
             }
 
-            // every maintained snapshot equals a from-scratch run, in
-            // both execution modes, byte for byte
+            // every maintained snapshot equals a from-scratch run, byte
+            // for byte
             for (id, text, snap) in &subs {
                 let q = hq::parser::parse(text).expect("pool queries parse");
-                for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                    let fresh = hq::execute_mode(&hg, &q, mode).map_err(|e| {
-                        TestCaseError::fail(format!("oracle {text:?}: {e}"))
-                    })?;
-                    prop_assert_eq!(
-                        &encoded(snap),
-                        &encoded(&fresh),
-                        "sub {} ({:?}) diverged after op {} ({:?} mode)",
-                        id, text, applied, mode
-                    );
-                }
+                let fresh = hq::execute(&hg, &q).map_err(|e| {
+                    TestCaseError::fail(format!("oracle {text:?}: {e}"))
+                })?;
+                prop_assert_eq!(
+                    &encoded(snap),
+                    &encoded(&fresh),
+                    "sub {} ({:?}) diverged after op {}",
+                    id, text, applied
+                );
             }
         }
         let closed = sink.closed.lock().unwrap();
@@ -252,7 +249,7 @@ fn fixed_mixed_batch_converges_every_shape() {
     }
     for (_, text, snap) in &subs {
         let q = hq::parser::parse(text).expect("parse");
-        let fresh = hq::execute_mode(&hg, &q, ExecMode::Sequential).expect("oracle");
+        let fresh = hq::execute(&hg, &q).expect("oracle");
         assert_eq!(
             encoded(snap),
             encoded(&fresh),

@@ -11,7 +11,6 @@ use hygraph::prelude::*;
 use hygraph::query_engine as hq;
 use hygraph::temporal::{HistoryConfig, HistoryStore, SnapshotResolution};
 use hygraph::types::bytes::ByteWriter;
-use hygraph::types::parallel::ExecMode;
 use hygraph::types::props;
 use proptest::prelude::*;
 
@@ -172,16 +171,14 @@ proptest! {
                 );
                 for text in QUERIES {
                     let q = hq::parser::parse(text).expect("pool queries parse");
-                    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                        let got = hq::execute_mode(&snap, &q, mode)
-                            .map_err(|e| TestCaseError::fail(format!("{text:?}: {e}")))?;
-                        let want = hq::execute_mode(oracle_state, &q, mode)
-                            .map_err(|e| TestCaseError::fail(format!("oracle {text:?}: {e}")))?;
-                        prop_assert_eq!(
-                            &encoded(&got), &encoded(&want),
-                            "AS OF {} diverged for {:?} ({:?})", probe, text, mode
-                        );
-                    }
+                    let got = hq::execute(&snap, &q)
+                        .map_err(|e| TestCaseError::fail(format!("{text:?}: {e}")))?;
+                    let want = hq::execute(oracle_state, &q)
+                        .map_err(|e| TestCaseError::fail(format!("oracle {text:?}: {e}")))?;
+                    prop_assert_eq!(
+                        &encoded(&got), &encoded(&want),
+                        "AS OF {} diverged for {:?}", probe, text
+                    );
                 }
             }
         }
@@ -219,7 +216,7 @@ proptest! {
             for text in QUERIES {
                 let q = hq::parser::parse(text).expect("pool queries parse");
                 let planned = hq::plan_query(&q).expect("pool queries plan");
-                let want = hq::execute_epochs(&states, &planned, ExecMode::Auto)
+                let want = hq::execute_epochs(&states, &planned)
                     .map_err(|e| TestCaseError::fail(format!("epochs {text:?}: {e}")))?;
                 let got = hq::run_instrumented_bound(
                     &live, text, None, Some(&history),
