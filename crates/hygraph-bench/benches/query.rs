@@ -2,7 +2,9 @@
 //! series aggregates, row aggregation, and variable-length expansion on
 //! the fraud dataset; the pattern matcher on its own (`matcher/*`) and
 //! planned execution of the end-to-end benchmark's query shapes
-//! (`executor/*`) on its bike topology.
+//! (`executor/*`) on its bike topology, and the graph store's read
+//! primitives underneath them (`graph_read/*`). Run once per snapshot
+//! implementation (`HYGRAPH_SNAPSHOT_IMPL=pmap|cow`) to compare them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hygraph_datagen::bike::{self, BikeConfig};
@@ -159,6 +161,57 @@ fn bench_matcher(c: &mut Criterion) {
     m.finish();
 }
 
+/// The topology reads every pattern search is made of, on the same bike
+/// topology: the label-index scan that seeds a search, point vertex
+/// gets, the out-adjacency walk, and the walk plus the destination
+/// vertex each step binds.
+fn bench_graph_read(c: &mut Criterion) {
+    let hg = bike::generate(BikeConfig {
+        stations: 200,
+        days: 30,
+        ..Default::default()
+    })
+    .to_hygraph();
+    let g = hg.topology();
+    let stations = g.vertex_ids_with_label("Station");
+    assert_eq!(stations.len(), 200);
+
+    let mut m = c.benchmark_group("graph_read");
+    m.bench_function("label_scan", |b| {
+        b.iter(|| black_box(g.vertices_with_label("Station").count()))
+    });
+    m.bench_function("vertex_get_200", |b| {
+        b.iter(|| {
+            let mut n = 0;
+            for &v in &stations {
+                n += g.vertex(v).expect("live").labels.len();
+            }
+            black_box(n)
+        })
+    });
+    m.bench_function("out_edge_walk", |b| {
+        b.iter(|| {
+            let mut n = 0;
+            for &v in &stations {
+                n += g.out_edges(v).count();
+            }
+            black_box(n)
+        })
+    });
+    m.bench_function("out_edge_walk_dst", |b| {
+        b.iter(|| {
+            let mut n = 0;
+            for &v in &stations {
+                for e in g.out_edges(v) {
+                    n += g.vertex(e.dst).expect("live").labels.len();
+                }
+            }
+            black_box(n)
+        })
+    });
+    m.finish();
+}
+
 /// Planned execution — match, filter, projection or grouping, DISTINCT,
 /// sort and limit in one streaming pass — of four `hybrid-read` query
 /// shapes on the same bike topology, each planned once up front.
@@ -219,6 +272,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_query, bench_matcher, bench_executor
+    targets = bench_query, bench_graph_read, bench_matcher, bench_executor
 }
 criterion_main!(benches);

@@ -28,10 +28,14 @@
 //! Run with: `cargo run --release -p hygraph-bench --bin shard_scaling
 //! [--scale small|medium|large]`
 //!
-//! Emits `BENCH_PR10.json` in the working directory (override with
-//! `BENCH_PR10_JSON=<path>`) so CI and later PRs can diff the numbers.
+//! Every row also reports the window's snapshot-publication cost, the
+//! p50/p99 of `hygraph_commit_publish_us` (zero where nothing is
+//! published: the single-shard engine). Emits `BENCH_PR10.json` in the
+//! working directory (override with `BENCH_PR10_JSON=<path>`) so CI and
+//! later PRs can diff the numbers.
 
 use hygraph_bench::Scale;
+use hygraph_metrics::HistogramSnapshot;
 use hygraph_persist::HgMutation;
 use hygraph_server::{Backend, Engine};
 use hygraph_types::pmap::SnapshotImpl;
@@ -136,6 +140,27 @@ struct Measured {
     commits: usize,
     reads_per_sec: f64,
     commits_per_sec: f64,
+    /// `hygraph_commit_publish_us` over this window: (p50, p99) µs, or
+    /// zeros when nothing was published (single-shard, metrics off).
+    publish_us: (u64, u64),
+}
+
+/// The process-wide `hygraph_commit_publish_us` histogram so far.
+fn publish_hist() -> HistogramSnapshot {
+    hygraph_metrics::snapshot()
+        .map(|s| s.shard.commit_publish_us)
+        .unwrap_or_default()
+}
+
+/// (p50, p99) of the observations `after` holds beyond `before`.
+fn publish_quantiles(before: &HistogramSnapshot, after: &HistogramSnapshot) -> (u64, u64) {
+    let mut window = after.clone();
+    for (a, b) in window.buckets.iter_mut().zip(before.buckets.iter()) {
+        *a -= b;
+    }
+    window.count -= before.count;
+    window.sum -= before.sum;
+    (window.p50(), window.p99())
 }
 
 /// A fixed wall-clock window: one writer commits batches back to back
@@ -147,6 +172,7 @@ struct Measured {
 /// commit costs are compared on equal footing.
 fn measure(shards: usize, stations: usize, window_ms: u64, readers: usize) -> Measured {
     let engine = build_engine(shards, stations);
+    let published_before = publish_hist();
     let done = Arc::new(AtomicBool::new(false));
     let handles: Vec<_> = (0..readers)
         .map(|r| {
@@ -195,6 +221,7 @@ fn measure(shards: usize, stations: usize, window_ms: u64, readers: usize) -> Me
         commits,
         reads_per_sec: reads as f64 / secs,
         commits_per_sec: commits as f64 / secs,
+        publish_us: publish_quantiles(&published_before, &publish_hist()),
     }
 }
 
@@ -207,16 +234,17 @@ fn sweep(
     readers: usize,
 ) -> Vec<Measured> {
     println!(
-        "\n[{label}] {:>7} {:>10} {:>10} {:>14} {:>14}",
-        "shards", "reads", "commits", "reads/sec", "commits/sec"
+        "\n[{label}] {:>7} {:>10} {:>10} {:>14} {:>14} {:>18}",
+        "shards", "reads", "commits", "reads/sec", "commits/sec", "publish p50/p99 µs"
     );
     shard_counts
         .iter()
         .map(|&n| {
             let m = measure(n, stations, window_ms, readers);
+            let publish = format!("{}/{}", m.publish_us.0, m.publish_us.1);
             println!(
-                "[{label}] {:>7} {:>10} {:>10} {:>14.0} {:>14.1}",
-                m.shards, m.reads, m.commits, m.reads_per_sec, m.commits_per_sec
+                "[{label}] {:>7} {:>10} {:>10} {:>14.0} {:>14.1} {:>18}",
+                m.shards, m.reads, m.commits, m.reads_per_sec, m.commits_per_sec, publish
             );
             m
         })
@@ -228,8 +256,15 @@ fn json_rows(rows: &[Measured]) -> String {
         .map(|m| {
             format!(
                 "{{\"shards\": {}, \"reads\": {}, \"commits\": {}, \
-                 \"reads_per_sec\": {:.2}, \"commits_per_sec\": {:.2}}}",
-                m.shards, m.reads, m.commits, m.reads_per_sec, m.commits_per_sec
+                 \"reads_per_sec\": {:.2}, \"commits_per_sec\": {:.2}, \
+                 \"publish_us_p50\": {}, \"publish_us_p99\": {}}}",
+                m.shards,
+                m.reads,
+                m.commits,
+                m.reads_per_sec,
+                m.commits_per_sec,
+                m.publish_us.0,
+                m.publish_us.1
             )
         })
         .collect::<Vec<_>>()

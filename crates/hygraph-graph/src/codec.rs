@@ -20,8 +20,8 @@ use hygraph_types::{EdgeId, Result, VertexId};
 /// Encodes the full graph state into `w`.
 pub fn encode_graph(g: &TemporalGraph, w: &mut ByteWriter) {
     w.len_of(g.vertices.slots());
-    for i in 0..g.vertices.slots() {
-        match g.vertices.get(i) {
+    for slot in g.vertices.iter_slots() {
+        match slot {
             None => w.bool(false),
             Some(v) => {
                 w.bool(true);
@@ -32,8 +32,8 @@ pub fn encode_graph(g: &TemporalGraph, w: &mut ByteWriter) {
         }
     }
     w.len_of(g.edges.slots());
-    for i in 0..g.edges.slots() {
-        match g.edges.get(i) {
+    for slot in g.edges.iter_slots() {
+        match slot {
             None => w.bool(false),
             Some(e) => {
                 w.bool(true);
@@ -63,13 +63,7 @@ pub fn decode_graph(r: &mut ByteReader<'_>) -> Result<TemporalGraph> {
         let props = r.property_map()?;
         let validity = r.interval()?;
         for l in &labels {
-            if !g.vertex_label_index.contains_key(l) {
-                g.vertex_label_index.insert(l.clone(), Vec::new());
-            }
-            g.vertex_label_index
-                .get_mut(l)
-                .expect("ensured above")
-                .push(id);
+            g.vertex_label_index.add(l, id);
         }
         g.vertices.push_slot(Some(VertexData {
             id,

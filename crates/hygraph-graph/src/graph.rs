@@ -1,8 +1,10 @@
 //! The temporal property graph store.
 //!
-//! Dense-id storage: vertices and edges live in `Vec`s indexed by their
-//! ids, with per-vertex out/in adjacency lists. Every element carries a
-//! label set (λ), a property map (φ) and a validity interval (ρ).
+//! Dense-id storage: vertices and edges live in slot tables indexed by
+//! their ids (vectors, or persistent radix vectors in the default
+//! snapshot mode), with per-vertex out/in adjacency lists. Every
+//! element carries a label set (λ), a property map (φ) and a validity
+//! interval (ρ).
 //! Structural deletion is modelled two ways, matching TPG practice:
 //!
 //! * [`TemporalGraph::close_vertex`] / [`TemporalGraph::close_edge`] end
@@ -12,8 +14,8 @@
 //! * [`TemporalGraph::remove_vertex`] / [`TemporalGraph::remove_edge`]
 //!   tombstone the element entirely (physical delete).
 
-use crate::store::{SnapAdj, SnapSlab};
-use hygraph_types::pmap::{SnapMap, SnapshotImpl};
+use crate::store::{LabelIndex, SnapAdj, SnapSlab};
+use hygraph_types::pmap::SnapshotImpl;
 use hygraph_types::{
     EdgeId, HyGraphError, Interval, Label, PropertyMap, Result, Timestamp, VertexId,
 };
@@ -74,22 +76,23 @@ impl EdgeData {
 /// A directed temporal property graph.
 ///
 /// Interior collections are dual-mode ([`SnapshotImpl`], chosen at
-/// construction): the default persistent tries make `clone` O(1) and
-/// mutation O(log n) path copies, so snapshot publication in the
-/// sharded engine costs O(batch) per commit even while readers pin old
-/// epochs; the `cow` mode keeps the legacy deep-copy-on-shared-write
-/// vectors as a rollback path. Both modes present identical semantics
-/// and identical (ascending-id) iteration order.
+/// construction): the default persistent radix vectors make `clone`
+/// O(1), reads ⌈log₃₂ n⌉ array hops and mutation O(log n) path copies,
+/// so snapshot publication in the sharded engine costs O(batch) per
+/// commit even while readers pin old epochs; the `cow` mode keeps the
+/// legacy deep-copy-on-shared-write vectors as a rollback path. Both
+/// modes present identical semantics and identical (ascending-id)
+/// iteration order.
 #[derive(Clone, Debug)]
 pub struct TemporalGraph {
     pub(crate) vertices: SnapSlab<VertexData>,
     pub(crate) edges: SnapSlab<EdgeData>,
     pub(crate) out_adj: SnapAdj,
     pub(crate) in_adj: SnapAdj,
-    // label -> vertices carrying it (kept in insertion order; tombstoned
-    // entries are pruned on removal). Accelerates label-seeded pattern
-    // matching and HyQL candidate generation.
-    pub(crate) vertex_label_index: SnapMap<Label, Vec<VertexId>>,
+    // label -> vertices carrying it (ascending id order; removed
+    // vertices are pruned). Accelerates label-seeded pattern matching
+    // and HyQL candidate generation.
+    pub(crate) vertex_label_index: LabelIndex,
     pub(crate) live_vertices: usize,
     pub(crate) live_edges: usize,
 }
@@ -114,14 +117,14 @@ impl TemporalGraph {
             edges: SnapSlab::new_with(mode),
             out_adj: SnapAdj::new_with(mode),
             in_adj: SnapAdj::new_with(mode),
-            vertex_label_index: SnapMap::new_with(mode),
+            vertex_label_index: LabelIndex::new_with(mode),
             live_vertices: 0,
             live_edges: 0,
         }
     }
 
     /// An empty graph with reserved capacity (meaningful in `cow` mode;
-    /// the persistent tries allocate per node and ignore the hint).
+    /// the persistent radix vectors allocate per node and ignore it).
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         let mode = SnapshotImpl::configured();
         Self {
@@ -129,7 +132,7 @@ impl TemporalGraph {
             edges: SnapSlab::with_capacity(mode, edges),
             out_adj: SnapAdj::with_capacity(mode, vertices),
             in_adj: SnapAdj::with_capacity(mode, vertices),
-            vertex_label_index: SnapMap::new_with(mode),
+            vertex_label_index: LabelIndex::new_with(mode),
             live_vertices: 0,
             live_edges: 0,
         }
@@ -172,13 +175,7 @@ impl TemporalGraph {
         let id = VertexId::from(self.vertices.slots());
         let labels: Vec<Label> = labels.into_iter().map(Into::into).collect();
         for l in &labels {
-            if !self.vertex_label_index.contains_key(l) {
-                self.vertex_label_index.insert(l.clone(), Vec::new());
-            }
-            self.vertex_label_index
-                .get_mut(l)
-                .expect("ensured above")
-                .push(id);
+            self.vertex_label_index.add(l, id);
         }
         self.vertices.push_slot(Some(VertexData {
             id,
@@ -336,10 +333,8 @@ impl TemporalGraph {
         label: &'a str,
     ) -> impl Iterator<Item = &'a VertexData> + 'a {
         self.vertex_label_index
-            .get(&Label::new(label))
-            .into_iter()
-            .flatten()
-            .filter_map(|&v| self.vertices.get(v.index()))
+            .ids(label)
+            .filter_map(|v| self.vertices.get(v.index()))
     }
 
     /// Ids of live vertices carrying `label` (index-backed).
@@ -443,9 +438,7 @@ impl TemporalGraph {
         }
         let data = self.vertices.take(v.index()).expect("checked above");
         for l in &data.labels {
-            if let Some(list) = self.vertex_label_index.get_mut(l) {
-                list.retain(|&x| x != v);
-            }
+            self.vertex_label_index.remove(l, v);
         }
         self.live_vertices -= 1;
         Ok(data)

@@ -6,15 +6,18 @@
 //! * **Dense** — the legacy layout (`Arc<Vec<…>>` + `make_mut`): the
 //!   first write after a snapshot is pinned deep-copies the whole
 //!   vector. Kept as the `cow` rollback path.
-//! * **Pmap** — persistent tries keyed by dense id: writes path-copy
-//!   O(log n) nodes no matter how many snapshots are pinned.
+//! * **Pmap** — persistent radix vectors ([`PVec`]) indexed by dense
+//!   id: a read is ⌈log₃₂ n⌉ array hops, and a write path-copies the
+//!   same few ≤32-slot nodes no matter how many snapshots are pinned.
 //!
-//! Both modes iterate in ascending id order (dense index order on one
-//! side, identity-hash trie order on the other), so canonical encodings
-//! and adjacency orders are byte-identical across modes.
+//! Both modes iterate in ascending id order, so canonical encodings and
+//! adjacency orders are byte-identical across modes. The label index is
+//! one shape in both modes: a [`SnapMap`] from label to a [`PVec`]
+//! posting list.
 
-use hygraph_types::pmap::{PMap, PSet, SnapshotImpl};
-use hygraph_types::EdgeId;
+use hygraph_types::pmap::{SnapMap, SnapshotImpl};
+use hygraph_types::pvec::PVec;
+use hygraph_types::{EdgeId, Label, VertexId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -42,11 +45,12 @@ where
 
 /// A dense-id slot store (vertex or edge table): ids are allocated
 /// sequentially, removal tombstones the slot, and the slot count only
-/// grows. The Pmap mode stores only live slots (absent key = tombstone)
-/// plus the allocation high-water mark.
+/// grows. The Pmap mode boxes each element in an `Arc`, so copying a
+/// shared leaf bumps 32 refcounts instead of cloning 32 elements, and
+/// `get_mut` clones only the one element it returns.
 pub(crate) enum SnapSlab<T> {
     Dense(Arc<Vec<Option<T>>>),
-    Pmap { map: PMap<u64, T>, slots: u64 },
+    Pmap(PVec<Option<Arc<T>>>),
 }
 
 impl<T: Clone> SnapSlab<T> {
@@ -57,17 +61,14 @@ impl<T: Clone> SnapSlab<T> {
     pub(crate) fn with_capacity(mode: SnapshotImpl, cap: usize) -> Self {
         match mode {
             SnapshotImpl::Cow => SnapSlab::Dense(Arc::new(Vec::with_capacity(cap))),
-            SnapshotImpl::Pmap => SnapSlab::Pmap {
-                map: PMap::new(),
-                slots: 0,
-            },
+            SnapshotImpl::Pmap => SnapSlab::Pmap(PVec::new()),
         }
     }
 
     pub(crate) fn mode(&self) -> SnapshotImpl {
         match self {
             SnapSlab::Dense(_) => SnapshotImpl::Cow,
-            SnapSlab::Pmap { .. } => SnapshotImpl::Pmap,
+            SnapSlab::Pmap(_) => SnapshotImpl::Pmap,
         }
     }
 
@@ -75,43 +76,32 @@ impl<T: Clone> SnapSlab<T> {
     pub(crate) fn slots(&self) -> usize {
         match self {
             SnapSlab::Dense(v) => v.len(),
-            SnapSlab::Pmap { slots, .. } => *slots as usize,
+            SnapSlab::Pmap(v) => v.len(),
         }
     }
 
     /// Number of live (non-tombstoned) slots.
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
-        match self {
-            SnapSlab::Dense(v) => v.iter().filter(|s| s.is_some()).count(),
-            SnapSlab::Pmap { map, .. } => map.len(),
-        }
+        self.iter_live().count()
     }
 
     /// Appends the next slot (decode path appends tombstones verbatim;
     /// the construction path always appends `Some`). Returns its index.
     pub(crate) fn push_slot(&mut self, value: Option<T>) -> usize {
+        let idx = self.slots();
         match self {
-            SnapSlab::Dense(v) => {
-                let idx = v.len();
-                Arc::make_mut(v).push(value);
-                idx
-            }
-            SnapSlab::Pmap { map, slots } => {
-                let idx = *slots;
-                if let Some(value) = value {
-                    map.insert(idx, value);
-                }
-                *slots += 1;
-                idx as usize
-            }
+            SnapSlab::Dense(v) => Arc::make_mut(v).push(value),
+            SnapSlab::Pmap(v) => v.push(value.map(Arc::new)),
         }
+        idx
     }
 
+    #[inline]
     pub(crate) fn get(&self, idx: usize) -> Option<&T> {
         match self {
-            SnapSlab::Dense(v) => v.get(idx).and_then(Option::as_ref),
-            SnapSlab::Pmap { map, .. } => map.get(&(idx as u64)),
+            SnapSlab::Dense(v) => v.get(idx)?.as_ref(),
+            SnapSlab::Pmap(v) => v.get(idx)?.as_deref(),
         }
     }
 
@@ -120,8 +110,8 @@ impl<T: Clone> SnapSlab<T> {
     pub(crate) fn get_mut(&mut self, idx: usize) -> Option<&mut T> {
         self.get(idx)?;
         match self {
-            SnapSlab::Dense(v) => Arc::make_mut(v).get_mut(idx).and_then(Option::as_mut),
-            SnapSlab::Pmap { map, .. } => map.get_mut(&(idx as u64)),
+            SnapSlab::Dense(v) => Arc::make_mut(v)[idx].as_mut(),
+            SnapSlab::Pmap(v) => v.get_mut(idx)?.as_mut().map(Arc::make_mut),
         }
     }
 
@@ -129,28 +119,30 @@ impl<T: Clone> SnapSlab<T> {
     pub(crate) fn take(&mut self, idx: usize) -> Option<T> {
         self.get(idx)?;
         match self {
-            SnapSlab::Dense(v) => Arc::make_mut(v).get_mut(idx).and_then(Option::take),
-            SnapSlab::Pmap { map, .. } => map.remove(&(idx as u64)),
+            SnapSlab::Dense(v) => Arc::make_mut(v)[idx].take(),
+            SnapSlab::Pmap(v) => v.get_mut(idx)?.take().map(Arc::unwrap_or_clone),
+        }
+    }
+
+    /// Every slot in id order, `None` for a tombstone.
+    pub(crate) fn iter_slots(&self) -> impl Iterator<Item = Option<&T>> {
+        match self {
+            SnapSlab::Dense(v) => EitherIter::A(v.iter().map(Option::as_ref)),
+            SnapSlab::Pmap(v) => EitherIter::B(v.iter().map(Option::as_deref)),
         }
     }
 
     /// Live slots in ascending id order.
     pub(crate) fn iter_live(&self) -> impl Iterator<Item = &T> {
-        match self {
-            SnapSlab::Dense(v) => EitherIter::A(v.iter().filter_map(Option::as_ref)),
-            SnapSlab::Pmap { map, .. } => EitherIter::B(map.values()),
-        }
+        self.iter_slots().flatten()
     }
 }
 
-impl<T: Clone> Clone for SnapSlab<T> {
+impl<T> Clone for SnapSlab<T> {
     fn clone(&self) -> Self {
         match self {
             SnapSlab::Dense(v) => SnapSlab::Dense(Arc::clone(v)),
-            SnapSlab::Pmap { map, slots } => SnapSlab::Pmap {
-                map: map.clone(),
-                slots: *slots,
-            },
+            SnapSlab::Pmap(v) => SnapSlab::Pmap(v.clone()),
         }
     }
 }
@@ -163,11 +155,12 @@ impl<T: Clone + fmt::Debug> fmt::Debug for SnapSlab<T> {
 
 /// Per-vertex adjacency (out or in). Lists are maintained in ascending
 /// edge-id order by construction — edges allocate monotonically and
-/// removal preserves order — so the Pmap mode's `PSet` (which iterates
-/// ascending id) reproduces the dense `Vec` order exactly.
+/// removal preserves order — in both modes. In Pmap mode each list is
+/// itself a [`PVec`]: appending to a hub's list copies one ≤32-id node
+/// per level, and a low-degree list is a single exactly sized leaf.
 pub(crate) enum SnapAdj {
     Dense(Arc<Vec<Vec<EdgeId>>>),
-    Pmap(PMap<u64, PSet<EdgeId>>),
+    Pmap(PVec<PVec<EdgeId>>),
 }
 
 impl SnapAdj {
@@ -178,15 +171,16 @@ impl SnapAdj {
     pub(crate) fn with_capacity(mode: SnapshotImpl, cap: usize) -> Self {
         match mode {
             SnapshotImpl::Cow => SnapAdj::Dense(Arc::new(Vec::with_capacity(cap))),
-            SnapshotImpl::Pmap => SnapAdj::Pmap(PMap::new()),
+            SnapshotImpl::Pmap => SnapAdj::Pmap(PVec::new()),
         }
     }
 
-    /// Registers a newly allocated vertex slot (its adjacency starts
-    /// empty; in Pmap mode absence *is* empty, so nothing is stored).
+    /// Registers a newly allocated vertex slot with an empty list (an
+    /// empty `PVec` allocates nothing).
     pub(crate) fn push_empty(&mut self) {
-        if let SnapAdj::Dense(v) = self {
-            Arc::make_mut(v).push(Vec::new());
+        match self {
+            SnapAdj::Dense(v) => Arc::make_mut(v).push(Vec::new()),
+            SnapAdj::Pmap(v) => v.push(PVec::new()),
         }
     }
 
@@ -196,32 +190,17 @@ impl SnapAdj {
     pub(crate) fn add(&mut self, v: usize, e: EdgeId) {
         match self {
             SnapAdj::Dense(adj) => Arc::make_mut(adj)[v].push(e),
-            SnapAdj::Pmap(adj) => {
-                let key = v as u64;
-                if adj.get(&key).is_none() {
-                    adj.insert(key, PSet::new());
-                }
-                adj.get_mut(&key).expect("inserted above").insert(e);
-            }
+            SnapAdj::Pmap(adj) => adj.get_mut(v).expect("vertex slot registered").push(e),
         }
     }
 
-    /// Drops edge `e` from vertex `v`'s list (edge removal). An empty
-    /// Pmap entry is removed entirely so the trie stays canonical.
+    /// Drops edge `e` from vertex `v`'s list (edge removal).
     pub(crate) fn remove(&mut self, v: usize, e: EdgeId) {
         match self {
             SnapAdj::Dense(adj) => Arc::make_mut(adj)[v].retain(|&x| x != e),
             SnapAdj::Pmap(adj) => {
-                let key = v as u64;
-                let emptied = match adj.get_mut(&key) {
-                    Some(set) => {
-                        set.remove(&e);
-                        set.is_empty()
-                    }
-                    None => false,
-                };
-                if emptied {
-                    adj.remove(&key);
+                if let Some(list) = adj.get_mut(v) {
+                    list.remove_sorted(&e);
                 }
             }
         }
@@ -229,14 +208,13 @@ impl SnapAdj {
 
     /// Vertex `v`'s incident edge ids in ascending id order; an unknown
     /// vertex yields an empty iterator.
+    #[inline]
     pub(crate) fn edge_ids(&self, v: usize) -> impl Iterator<Item = EdgeId> + '_ {
         match self {
             SnapAdj::Dense(adj) => EitherIter::A(adj.get(v).into_iter().flatten().copied()),
-            SnapAdj::Pmap(adj) => EitherIter::B(
-                adj.get(&(v as u64))
-                    .into_iter()
-                    .flat_map(|set| set.iter().copied()),
-            ),
+            SnapAdj::Pmap(adj) => {
+                EitherIter::B(adj.get(v).map(PVec::iter).unwrap_or_default().copied())
+            }
         }
     }
 }
@@ -245,7 +223,7 @@ impl Clone for SnapAdj {
     fn clone(&self) -> Self {
         match self {
             SnapAdj::Dense(v) => SnapAdj::Dense(Arc::clone(v)),
-            SnapAdj::Pmap(m) => SnapAdj::Pmap(m.clone()),
+            SnapAdj::Pmap(v) => SnapAdj::Pmap(v.clone()),
         }
     }
 }
@@ -254,8 +232,47 @@ impl fmt::Debug for SnapAdj {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapAdj::Dense(v) => f.debug_list().entries(v.iter()).finish(),
-            SnapAdj::Pmap(m) => f.debug_map().entries(m.iter()).finish(),
+            SnapAdj::Pmap(v) => f.debug_list().entries(v.iter()).finish(),
         }
+    }
+}
+
+/// Label → ids of the vertices carrying it, each posting list in
+/// ascending id order (vertex ids allocate monotonically). A posting
+/// list is a [`PVec`], so adding a vertex under a pinned snapshot
+/// copies O(log₃₂ |label|) nodes of its labels' lists, not the lists.
+#[derive(Clone, Debug)]
+pub(crate) struct LabelIndex(SnapMap<Label, PVec<VertexId>>);
+
+impl LabelIndex {
+    pub(crate) fn new_with(mode: SnapshotImpl) -> Self {
+        Self(SnapMap::new_with(mode))
+    }
+
+    /// Appends `v` (the newest vertex) to `label`'s posting list.
+    pub(crate) fn add(&mut self, label: &Label, v: VertexId) {
+        match self.0.get_mut(label) {
+            Some(list) => list.push(v),
+            None => {
+                self.0.insert(label.clone(), std::iter::once(v).collect());
+            }
+        }
+    }
+
+    /// Drops `v` from `label`'s posting list.
+    pub(crate) fn remove(&mut self, label: &Label, v: VertexId) {
+        if let Some(list) = self.0.get_mut(label) {
+            list.remove_sorted(&v);
+        }
+    }
+
+    /// The posting list of `label` (empty for an unknown label).
+    pub(crate) fn ids(&self, label: &str) -> impl Iterator<Item = VertexId> + '_ {
+        self.0
+            .get(label)
+            .map(PVec::iter)
+            .unwrap_or_default()
+            .copied()
     }
 }
 
@@ -308,21 +325,109 @@ mod tests {
 
     #[test]
     fn modes_produce_identical_views() {
-        let mut d = SnapAdj::new_with(SnapshotImpl::Cow);
-        let mut p = SnapAdj::new_with(SnapshotImpl::Pmap);
-        for adj in [&mut d, &mut p] {
-            for _ in 0..4 {
-                adj.push_empty();
+        let mut adj = [SnapshotImpl::Cow, SnapshotImpl::Pmap].map(SnapAdj::new_with);
+        let mut slab = [SnapshotImpl::Cow, SnapshotImpl::Pmap].map(SnapSlab::<u64>::new_with);
+        let mut idx = [SnapshotImpl::Cow, SnapshotImpl::Pmap].map(LabelIndex::new_with);
+        let labels = [Label::new("A"), Label::new("B")];
+        for m in 0..2 {
+            for v in 0..40u64 {
+                adj[m].push_empty();
+                slab[m].push_slot(Some(v * 10));
+                idx[m].add(&labels[(v % 2) as usize], VertexId::new(v));
+                if v % 3 == 0 {
+                    idx[m].add(&labels[1], VertexId::new(v));
+                }
             }
-            for e in 0..12u64 {
-                adj.add((e % 4) as usize, EdgeId::new(e));
+            for e in 0..120u64 {
+                adj[m].add((e % 40) as usize, EdgeId::new(e));
             }
-            adj.remove(2, EdgeId::new(6));
+            adj[m].remove(2, EdgeId::new(42));
+            adj[m].remove(0, EdgeId::new(0));
+            *slab[m].get_mut(7).unwrap() += 1;
+            slab[m].take(33);
+            idx[m].remove(&labels[1], VertexId::new(33));
+            idx[m].remove(&labels[0], VertexId::new(4));
         }
-        for v in 0..4 {
-            let dv: Vec<_> = d.edge_ids(v).collect();
-            let pv: Vec<_> = p.edge_ids(v).collect();
-            assert_eq!(dv, pv);
+        let [d, p] = &adj;
+        for v in 0..41 {
+            assert!(d.edge_ids(v).eq(p.edge_ids(v)), "adjacency of {v}");
         }
+        let [d, p] = &slab;
+        assert_eq!(d.slots(), p.slots());
+        assert!(d.iter_slots().eq(p.iter_slots()));
+        assert!(d.iter_live().eq(p.iter_live()));
+        let [d, p] = &idx;
+        for l in ["A", "B", "C"] {
+            assert!(d.ids(l).eq(p.ids(l)), "posting list of {l}");
+        }
+        assert_eq!(p.ids("B").filter(|v| v.raw() == 33).count(), 0);
+    }
+
+    #[test]
+    fn hub_append_copies_one_node_per_level() {
+        let mut a = SnapAdj::new_with(SnapshotImpl::Pmap);
+        a.push_empty();
+        a.push_empty();
+        for e in 0..10_000u64 {
+            a.add(0, EdgeId::new(e));
+        }
+        let pinned = a.clone();
+        a.add(0, EdgeId::new(10_000));
+        let (SnapAdj::Pmap(live), SnapAdj::Pmap(old)) = (&a, &pinned) else {
+            unreachable!("built in pmap mode")
+        };
+        // the outer table (two vertices) is one leaf; the hub's 10k ids
+        // sit three levels deep, so the append copies three nodes
+        assert_eq!(live.unshared_nodes(old), 1);
+        let (hub, old_hub) = (live.get(0).unwrap(), old.get(0).unwrap());
+        assert_eq!(hub.unshared_nodes(old_hub), 3);
+        assert_eq!(
+            pinned.edge_ids(0).count(),
+            10_000,
+            "the pinned view is frozen"
+        );
+        assert_eq!(a.edge_ids(0).last(), Some(EdgeId::new(10_000)));
+    }
+
+    #[test]
+    fn label_add_under_a_pinned_snapshot_copies_one_path() {
+        let label = Label::new("Station");
+        let mut idx = LabelIndex::new_with(SnapshotImpl::Pmap);
+        for v in 0..10_000u64 {
+            idx.add(&label, VertexId::new(v));
+        }
+        let pinned = idx.clone();
+        idx.add(&label, VertexId::new(10_000));
+        let (live, old) = (
+            idx.0.get("Station").unwrap(),
+            pinned.0.get("Station").unwrap(),
+        );
+        assert_eq!(live.unshared_nodes(old), 3);
+        assert_eq!(pinned.ids("Station").count(), 10_000);
+        assert_eq!(idx.ids("Station").count(), 10_001);
+    }
+
+    #[test]
+    fn slab_get_mut_clones_only_the_element() {
+        let mut s: SnapSlab<Vec<u8>> = SnapSlab::new_with(SnapshotImpl::Pmap);
+        for i in 0..100u8 {
+            s.push_slot(Some(vec![i]));
+        }
+        let pinned = s.clone();
+        s.get_mut(50).unwrap().push(1);
+        let (SnapSlab::Pmap(live), SnapSlab::Pmap(old)) = (&s, &pinned) else {
+            unreachable!("built in pmap mode")
+        };
+        // root + one leaf copied; the 31 other elements of that leaf
+        // are still the pinned snapshot's allocations
+        assert_eq!(live.unshared_nodes(old), 2);
+        let shared = (32..64)
+            .filter(|&i| {
+                let (a, b) = (live.get(i).unwrap(), old.get(i).unwrap());
+                Arc::ptr_eq(a.as_ref().unwrap(), b.as_ref().unwrap())
+            })
+            .count();
+        assert_eq!(shared, 31);
+        assert_eq!(pinned.get(50), Some(&vec![50]));
     }
 }

@@ -103,6 +103,14 @@ impl Label {
     }
 }
 
+/// Labels compare, order and hash exactly as their text does, so maps
+/// keyed by `Label` can be probed with a `&str`.
+impl std::borrow::Borrow<str> for Label {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl From<&str> for Label {
     fn from(s: &str) -> Self {
         Self(s.to_owned())

@@ -21,6 +21,7 @@ pub mod net;
 pub mod parallel;
 pub mod pmap;
 pub mod property;
+pub mod pvec;
 pub mod shard;
 pub mod time;
 pub mod value;

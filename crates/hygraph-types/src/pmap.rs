@@ -27,10 +27,12 @@
 //!   identical to the `BTreeMap`/dense-`Vec` order the codecs were built
 //!   on. String-ish keys ([`Label`]) use FNV-1a; their order is
 //!   hash-determined but still history-independent.
-//! * Full 64-bit hash collisions live in one leaf with entries sorted by
-//!   `K: Ord`, and the trie is **path-compressed**: every branch records
-//!   the chunk depth it discriminates at and always has ≥ 2 children, so
-//!   a branch exists exactly at the depths where the key set's hashes
+//! * A key lives inline in its own leaf; keys sharing a full 64-bit
+//!   hash live in one collision bucket with entries sorted by `K: Ord`
+//!   (only a genuine collision makes one). The trie is
+//!   **path-compressed**: every branch records the chunk depth it
+//!   discriminates at and always has ≥ 2 children, so a branch exists
+//!   exactly at the depths where the key set's hashes
 //!   first diverge. The tree *shape* (not just the iteration order) is
 //!   therefore canonical for a given key set — and dense id ranges,
 //!   whose hashes share all their high bits, stay 2–3 levels deep
@@ -45,8 +47,12 @@
 //! override, else the `HYGRAPH_SNAPSHOT_IMPL` environment variable, else
 //! `pmap`. [`SnapMap`] is the dual-mode map the model layers store so
 //! either implementation can be picked per store without generics
-//! leaking through every signature.
+//! leaking through every signature. Tables keyed by *dense* ids (the
+//! graph's vertex and edge slots and adjacency lists) use the persistent
+//! radix vector [`crate::pvec::PVec`] in `pmap` mode instead: an id is
+//! an array index there, so no hashing is needed at all.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,7 +68,7 @@ use crate::ids::{EdgeId, Label, PropertyKey, SeriesId, SubgraphId, VertexId};
 /// for collision leaves. The hash must be a pure function of the key's
 /// logical value (stable across processes and versions — checkpoint
 /// layouts built on iteration order depend on it).
-pub trait PmapKey: Clone + Eq + Ord {
+pub trait PmapKey: Eq + Ord {
     /// The full 64-bit hash the trie is keyed on. Identity for integer
     /// ids (so iteration is ascending id order); FNV-1a for strings.
     fn pmap_hash(&self) -> u64;
@@ -115,6 +121,15 @@ impl PmapKey for PropertyKey {
 }
 
 impl PmapKey for String {
+    #[inline]
+    fn pmap_hash(&self) -> u64 {
+        fnv1a(self.as_bytes())
+    }
+}
+
+/// The borrowed form of the string keys: hashes exactly as they do, so
+/// a `Label`- or `String`-keyed map answers a `&str` probe.
+impl PmapKey for str {
     #[inline]
     fn pmap_hash(&self) -> u64 {
         fnv1a(self.as_bytes())
@@ -174,9 +189,11 @@ enum Node<K, V> {
         bitmap: u64,
         children: Vec<Arc<Node<K, V>>>,
     },
-    /// All keys sharing one full 64-bit hash, sorted by `K`.
-    /// `entries.len() > 1` only on a genuine hash collision.
-    Leaf { hash: u64, entries: Vec<(K, V)> },
+    /// The one key with this full 64-bit hash, stored inline.
+    Leaf { hash: u64, key: K, value: V },
+    /// Two or more keys sharing one full 64-bit hash (a genuine hash
+    /// collision), sorted by `K`.
+    Collision { hash: u64, entries: Vec<(K, V)> },
 }
 
 /// A persistent hash-array-mapped-trie map: O(1) `clone`, O(log n)
@@ -203,7 +220,7 @@ impl<K, V> Default for PMap<K, V> {
     }
 }
 
-impl<K: PmapKey, V: Clone> PMap<K, V> {
+impl<K: PmapKey + Clone, V: Clone> PMap<K, V> {
     /// The empty map.
     pub fn new() -> Self {
         Self::default()
@@ -230,18 +247,28 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
         }
     }
 
-    /// Point lookup.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Point lookup, by the key or any borrowed form of it that hashes
+    /// and orders the same (a `Label` map answers a `&str` probe).
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: PmapKey + ?Sized,
+    {
         let hash = key.pmap_hash();
         let mut node = self.root.as_deref()?;
         loop {
             match node {
-                Node::Leaf { hash: h, entries } => {
+                Node::Leaf {
+                    hash: h,
+                    key: k,
+                    value,
+                } => return (*h == hash && <K as Borrow<Q>>::borrow(k) == key).then_some(value),
+                Node::Collision { hash: h, entries } => {
                     if *h != hash {
                         return None;
                     }
                     return entries
-                        .binary_search_by(|(k, _)| k.cmp(key))
+                        .binary_search_by(|(k, _)| <K as Borrow<Q>>::borrow(k).cmp(key))
                         .ok()
                         .map(|i| &entries[i].1);
                 }
@@ -280,7 +307,8 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
         let mut node: &mut Node<K, V> = Arc::make_mut(self.root.as_mut()?);
         loop {
             match node {
-                Node::Leaf { entries, .. } => {
+                Node::Leaf { value, .. } => return Some(value),
+                Node::Collision { entries, .. } => {
                     let i = entries
                         .binary_search_by(|(k, _)| k.cmp(key))
                         .expect("probed present above");
@@ -306,10 +334,7 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
         let hash = key.pmap_hash();
         let old = match &mut self.root {
             None => {
-                self.root = Some(Arc::new(Node::Leaf {
-                    hash,
-                    entries: vec![(key, value)],
-                }));
+                self.root = Some(Arc::new(Node::Leaf { hash, key, value }));
                 None
             }
             Some(root) => insert_rec(root, hash, key, value),
@@ -322,17 +347,19 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
 
     /// Removes `key`, returning its value if present. A miss copies
     /// nothing. Removal restores the canonical shape: a branch left
-    /// with a single leaf child collapses back up the path.
+    /// with a single child collapses back up the path, and a collision
+    /// down to one entry becomes a plain leaf.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         if !self.contains_key(key) {
             return None;
         }
         let hash = key.pmap_hash();
         let root = self.root.as_mut().expect("non-empty: key present");
-        let (value, now_empty) = remove_rec(root, hash, key);
-        if now_empty {
-            self.root = None;
-        }
+        let value = if matches!(**root, Node::Leaf { .. }) {
+            leaf_value(self.root.take().expect("checked above"))
+        } else {
+            remove_rec(root, hash, key)
+        };
         self.len -= 1;
         Some(value)
     }
@@ -340,12 +367,15 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
     /// Iterates entries in ascending `(pmap_hash, key)` order — for
     /// identity-hashed id keys, ascending id order.
     pub fn iter(&self) -> PMapIter<'_, K, V> {
-        PMapIter {
-            stack: match &self.root {
-                Some(root) => vec![(root.as_ref(), 0)],
-                None => Vec::new(),
-            },
+        let mut it = PMapIter {
+            frames: [(None, 0); LAST_CHUNK + 2],
+            depth: 0,
+        };
+        if let Some(root) = &self.root {
+            it.frames[0] = (Some(root), 0);
+            it.depth = 1;
         }
+        it
     }
 
     /// Iterates keys in the same deterministic order as [`Self::iter`].
@@ -359,18 +389,26 @@ impl<K: PmapKey, V: Clone> PMap<K, V> {
     }
 }
 
-/// The hash prefix a node constrains: a leaf pins the full hash, a
-/// branch pins the chunks above its discrimination depth (lower
+/// The hash prefix a node constrains: a leaf or collision pins the full
+/// hash, a branch pins the chunks above its discrimination depth (lower
 /// chunks zero).
 #[inline]
 fn node_key<K, V>(node: &Node<K, V>) -> u64 {
     match node {
-        Node::Leaf { hash, .. } => *hash,
+        Node::Leaf { hash, .. } | Node::Collision { hash, .. } => *hash,
         Node::Branch { prefix, .. } => *prefix,
     }
 }
 
-fn insert_rec<K: PmapKey, V: Clone>(
+/// The value of a detached [`Node::Leaf`] (cloned if still shared).
+fn leaf_value<K: Clone, V: Clone>(node: Arc<Node<K, V>>) -> V {
+    match Arc::unwrap_or_clone(node) {
+        Node::Leaf { value, .. } => value,
+        _ => unreachable!("caller checked the node is a leaf"),
+    }
+}
+
+fn insert_rec<K: PmapKey + Clone, V: Clone>(
     slot: &mut Arc<Node<K, V>>,
     hash: u64,
     key: K,
@@ -379,7 +417,7 @@ fn insert_rec<K: PmapKey, V: Clone>(
     // Does `hash` belong inside this node's subtree? A leaf requires
     // the full hash; a branch requires its prefix above `depth`.
     let belongs = match &**slot {
-        Node::Leaf { hash: h, .. } => *h == hash,
+        Node::Leaf { hash: h, .. } | Node::Collision { hash: h, .. } => *h == hash,
         Node::Branch { depth, prefix, .. } => hash & prefix_mask(*depth as usize) == *prefix,
     };
     if !belongs {
@@ -388,17 +426,10 @@ fn insert_rec<K: PmapKey, V: Clone>(
         // it untouched — no `make_mut`, nothing below is copied.
         let old_hash = node_key(&**slot);
         let d = diverge_depth(hash, old_hash);
-        let new_leaf = Arc::new(Node::Leaf {
-            hash,
-            entries: vec![(key, value)],
-        });
-        let placeholder = Arc::new(Node::Leaf {
-            hash,
-            entries: Vec::new(),
-        });
-        let old = std::mem::replace(slot, placeholder);
         let (ca, cb) = (chunk(old_hash, d), chunk(hash, d));
         debug_assert_ne!(ca, cb, "divergence depth must separate the chunks");
+        let new_leaf = Arc::new(Node::Leaf { hash, key, value });
+        let old = std::mem::replace(slot, Arc::clone(&new_leaf));
         let children = if ca < cb {
             vec![old, new_leaf]
         } else {
@@ -412,8 +443,33 @@ fn insert_rec<K: PmapKey, V: Clone>(
         });
         return None;
     }
-    match Arc::make_mut(slot) {
-        Node::Leaf { entries, .. } => match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+    let node = Arc::make_mut(slot);
+    match node {
+        Node::Leaf {
+            key: k, value: v, ..
+        } if *k == key => Some(std::mem::replace(v, value)),
+        Node::Leaf { .. } => {
+            // A second key with this full hash: the leaf becomes a
+            // sorted collision bucket.
+            let placeholder = Node::Collision {
+                hash,
+                entries: Vec::new(),
+            };
+            let Node::Leaf {
+                key: k, value: v, ..
+            } = std::mem::replace(node, placeholder)
+            else {
+                unreachable!("matched a leaf above")
+            };
+            let entries = if k < key {
+                vec![(k, v), (key, value)]
+            } else {
+                vec![(key, value), (k, v)]
+            };
+            *node = Node::Collision { hash, entries };
+            None
+        }
+        Node::Collision { entries, .. } => match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
             Ok(i) => Some(std::mem::replace(&mut entries[i].1, value)),
             Err(i) => {
                 entries.insert(i, (key, value));
@@ -432,28 +488,30 @@ fn insert_rec<K: PmapKey, V: Clone>(
                 insert_rec(&mut children[idx], hash, key, value)
             } else {
                 *bitmap |= bit;
-                children.insert(
-                    idx,
-                    Arc::new(Node::Leaf {
-                        hash,
-                        entries: vec![(key, value)],
-                    }),
-                );
+                children.insert(idx, Arc::new(Node::Leaf { hash, key, value }));
                 None
             }
         }
     }
 }
 
-/// Removes a key known to be present. Returns `(value, slot now empty)`.
-fn remove_rec<K: PmapKey, V: Clone>(slot: &mut Arc<Node<K, V>>, hash: u64, key: &K) -> (V, bool) {
-    let (value, now_empty, collapse) = match Arc::make_mut(slot) {
-        Node::Leaf { entries, .. } => {
+/// Removes a key known to be present from the subtree at `slot`, which
+/// is a branch or a collision (a leaf child is detached by its parent,
+/// a leaf root by [`PMap::remove`]), and returns its value.
+fn remove_rec<K: PmapKey + Clone, V: Clone>(slot: &mut Arc<Node<K, V>>, hash: u64, key: &K) -> V {
+    let node = Arc::make_mut(slot);
+    let (value, collapse) = match node {
+        Node::Collision { entries, .. } => {
             let i = entries
                 .binary_search_by(|(k, _)| k.cmp(key))
                 .expect("caller probed presence");
             let (_, v) = entries.remove(i);
-            (v, entries.is_empty(), None)
+            if entries.len() == 1 {
+                // One key left: no longer a collision.
+                let (key, value) = entries.pop().expect("one entry left");
+                *node = Node::Leaf { hash, key, value };
+            }
+            (v, None)
         }
         Node::Branch {
             bitmap,
@@ -463,63 +521,69 @@ fn remove_rec<K: PmapKey, V: Clone>(slot: &mut Arc<Node<K, V>>, hash: u64, key: 
         } => {
             let bit = 1u64 << chunk(hash, *depth as usize);
             let idx = (*bitmap & (bit - 1)).count_ones() as usize;
-            let (v, child_empty) = remove_rec(&mut children[idx], hash, key);
-            if child_empty {
-                children.remove(idx);
+            let v = if matches!(*children[idx], Node::Leaf { .. }) {
                 *bitmap &= !bit;
-            }
+                leaf_value(children.remove(idx))
+            } else {
+                remove_rec(&mut children[idx], hash, key)
+            };
             // Canonical-shape repair: a branch down to one child is no
-            // longer a divergence point, so the survivor (leaf or
-            // branch — it carries its own depth) replaces it wholesale.
+            // longer a divergence point, so the survivor (any node kind
+            // — it carries its own depth or hash) replaces it wholesale.
             let collapse = if children.len() == 1 {
                 children.pop()
             } else {
                 None
             };
-            (v, children.is_empty() && collapse.is_none(), collapse)
+            (v, collapse)
         }
+        Node::Leaf { .. } => unreachable!("leaves are detached by their parent"),
     };
     if let Some(survivor) = collapse {
         *slot = survivor;
     }
-    (value, now_empty)
+    value
 }
 
-/// Depth-first in-order iterator over a [`PMap`].
+/// Depth-first in-order iterator over a [`PMap`]. Branch depths
+/// strictly increase along any root-to-leaf path, so the frames fit a
+/// fixed array: at most one per chunk depth plus the collision bucket.
 pub struct PMapIter<'a, K, V> {
-    stack: Vec<(&'a Node<K, V>, usize)>,
+    frames: [(Option<&'a Node<K, V>>, usize); LAST_CHUNK + 2],
+    depth: usize,
 }
 
 impl<'a, K, V> Iterator for PMapIter<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some((node, cursor)) = self.stack.last_mut() {
+        while self.depth > 0 {
+            let (node, cursor) = &mut self.frames[self.depth - 1];
+            let node = node.expect("frames below depth are set");
+            let at = *cursor;
+            *cursor += 1;
             match node {
-                Node::Leaf { entries, .. } => {
-                    if *cursor < entries.len() {
-                        let (k, v) = &entries[*cursor];
-                        *cursor += 1;
-                        return Some((k, v));
+                Node::Branch { children, .. } if at < children.len() => {
+                    let child = children[at].as_ref();
+                    if let Node::Leaf { key, value, .. } = child {
+                        return Some((key, value));
                     }
-                    self.stack.pop();
+                    self.frames[self.depth] = (Some(child), 0);
+                    self.depth += 1;
                 }
-                Node::Branch { children, .. } => {
-                    if *cursor < children.len() {
-                        let child = children[*cursor].as_ref();
-                        *cursor += 1;
-                        self.stack.push((child, 0));
-                    } else {
-                        self.stack.pop();
-                    }
+                Node::Collision { entries, .. } if at < entries.len() => {
+                    let (k, v) = &entries[at];
+                    return Some((k, v));
                 }
+                Node::Leaf { key, value, .. } if at == 0 => return Some((key, value)),
+                _ => self.depth -= 1,
             }
         }
         None
     }
 }
 
-impl<'a, K: PmapKey, V: Clone> IntoIterator for &'a PMap<K, V> {
+impl<'a, K: PmapKey + Clone, V: Clone> IntoIterator for &'a PMap<K, V> {
     type Item = (&'a K, &'a V);
     type IntoIter = PMapIter<'a, K, V>;
     fn into_iter(self) -> Self::IntoIter {
@@ -527,7 +591,7 @@ impl<'a, K: PmapKey, V: Clone> IntoIterator for &'a PMap<K, V> {
     }
 }
 
-impl<K: PmapKey, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
+impl<K: PmapKey + Clone, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut m = Self::new();
         for (k, v) in iter {
@@ -537,7 +601,7 @@ impl<K: PmapKey, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
     }
 }
 
-impl<K: PmapKey, V: Clone> Extend<(K, V)> for PMap<K, V> {
+impl<K: PmapKey + Clone, V: Clone> Extend<(K, V)> for PMap<K, V> {
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (k, v) in iter {
             self.insert(k, v);
@@ -545,13 +609,13 @@ impl<K: PmapKey, V: Clone> Extend<(K, V)> for PMap<K, V> {
     }
 }
 
-impl<K: PmapKey + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for PMap<K, V> {
+impl<K: PmapKey + Clone + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for PMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }
 }
 
-impl<K: PmapKey, V: Clone + PartialEq> PartialEq for PMap<K, V> {
+impl<K: PmapKey + Clone, V: Clone + PartialEq> PartialEq for PMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
         if self.len != other.len {
             return false;
@@ -566,99 +630,7 @@ impl<K: PmapKey, V: Clone + PartialEq> PartialEq for PMap<K, V> {
     }
 }
 
-impl<K: PmapKey, V: Clone + Eq> Eq for PMap<K, V> {}
-
-// ---------------------------------------------------------------------------
-// PSet
-// ---------------------------------------------------------------------------
-
-/// A persistent set: [`PMap`] with unit values. Same clone/sharing and
-/// deterministic-iteration contract.
-pub struct PSet<K> {
-    map: PMap<K, ()>,
-}
-
-impl<K> Clone for PSet<K> {
-    #[inline]
-    fn clone(&self) -> Self {
-        Self {
-            map: self.map.clone(),
-        }
-    }
-}
-
-impl<K> Default for PSet<K> {
-    fn default() -> Self {
-        Self {
-            map: PMap::default(),
-        }
-    }
-}
-
-impl<K: PmapKey> PSet<K> {
-    /// The empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Membership test.
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Adds `key`; returns `true` if it was newly inserted.
-    pub fn insert(&mut self, key: K) -> bool {
-        self.map.insert(key, ()).is_none()
-    }
-
-    /// Removes `key`; returns `true` if it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.map.remove(key).is_some()
-    }
-
-    /// Iterates members in ascending `(pmap_hash, key)` order.
-    pub fn iter(&self) -> impl Iterator<Item = &K> {
-        self.map.keys()
-    }
-}
-
-impl<K: PmapKey> FromIterator<K> for PSet<K> {
-    fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
-        Self {
-            map: iter.into_iter().map(|k| (k, ())).collect(),
-        }
-    }
-}
-
-impl<K: PmapKey> Extend<K> for PSet<K> {
-    fn extend<I: IntoIterator<Item = K>>(&mut self, iter: I) {
-        self.map.extend(iter.into_iter().map(|k| (k, ())));
-    }
-}
-
-impl<K: PmapKey + fmt::Debug> fmt::Debug for PSet<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl<K: PmapKey> PartialEq for PSet<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.map == other.map
-    }
-}
-
-impl<K: PmapKey> Eq for PSet<K> {}
+impl<K: PmapKey + Clone, V: Clone + Eq> Eq for PMap<K, V> {}
 
 // ---------------------------------------------------------------------------
 // Snapshot implementation selection
@@ -748,13 +720,13 @@ impl<K, V> Clone for SnapMap<K, V> {
     }
 }
 
-impl<K: PmapKey, V: Clone> Default for SnapMap<K, V> {
+impl<K: PmapKey + Clone, V: Clone> Default for SnapMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: PmapKey, V: Clone> SnapMap<K, V> {
+impl<K: PmapKey + Clone, V: Clone> SnapMap<K, V> {
     /// An empty map in the process-configured mode
     /// ([`SnapshotImpl::configured`]).
     pub fn new() -> Self {
@@ -799,8 +771,13 @@ impl<K: PmapKey, V: Clone> SnapMap<K, V> {
         self.len() == 0
     }
 
-    /// Point lookup.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Point lookup, by the key or a borrowed form of it (see
+    /// [`PMap::get`]).
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: PmapKey + ?Sized,
+    {
         match self {
             SnapMap::Cow(m) => m.get(key),
             SnapMap::Pmap(m) => m.get(key),
@@ -888,7 +865,7 @@ impl<'a, K, V> Iterator for SnapMapIter<'a, K, V> {
     }
 }
 
-impl<'a, K: PmapKey, V: Clone> IntoIterator for &'a SnapMap<K, V> {
+impl<'a, K: PmapKey + Clone, V: Clone> IntoIterator for &'a SnapMap<K, V> {
     type Item = (&'a K, &'a V);
     type IntoIter = SnapMapIter<'a, K, V>;
     fn into_iter(self) -> Self::IntoIter {
@@ -896,7 +873,7 @@ impl<'a, K: PmapKey, V: Clone> IntoIterator for &'a SnapMap<K, V> {
     }
 }
 
-impl<K: PmapKey + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for SnapMap<K, V> {
+impl<K: PmapKey + Clone + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for SnapMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }
@@ -904,13 +881,13 @@ impl<K: PmapKey + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for SnapMap<K, V
 
 /// Content equality regardless of mode (lookup-based, so the string-key
 /// iteration-order difference between modes cannot cause false negatives).
-impl<K: PmapKey, V: Clone + PartialEq> PartialEq for SnapMap<K, V> {
+impl<K: PmapKey + Clone, V: Clone + PartialEq> PartialEq for SnapMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().all(|(k, v)| other.get(k) == Some(v))
     }
 }
 
-impl<K: PmapKey, V: Clone + Eq> Eq for SnapMap<K, V> {}
+impl<K: PmapKey + Clone, V: Clone + Eq> Eq for SnapMap<K, V> {}
 
 #[cfg(test)]
 mod tests {
@@ -1050,17 +1027,30 @@ mod tests {
     }
 
     #[test]
-    fn pset_basics() {
-        let mut s = PSet::new();
-        assert!(s.insert(EdgeId::new(5)));
-        assert!(s.insert(EdgeId::new(3)));
-        assert!(!s.insert(EdgeId::new(5)));
-        assert_eq!(s.len(), 2);
-        let ids: Vec<u64> = s.iter().map(|e| e.raw()).collect();
-        assert_eq!(ids, vec![3, 5]);
-        assert!(s.remove(&EdgeId::new(3)));
-        assert!(!s.remove(&EdgeId::new(3)));
-        assert_eq!(s.len(), 1);
+    fn borrowed_str_probes_label_and_string_keys() {
+        let labels: PMap<Label, u32> = [(Label::new("Station"), 1), (Label::new("Dock"), 2)]
+            .into_iter()
+            .collect();
+        assert_eq!(labels.get("Station"), Some(&1));
+        assert_eq!(labels.get(&Label::new("Dock")), Some(&2));
+        assert_eq!(labels.get("Ghost"), None);
+        let strings: PMap<String, u32> = [("a".to_string(), 7)].into_iter().collect();
+        assert_eq!(strings.get("a"), Some(&7));
+    }
+
+    #[test]
+    fn collision_bucket_forms_and_dissolves() {
+        let mut m = PMap::new();
+        m.insert(Collider(2), 'a');
+        assert!(matches!(m.root.as_deref(), Some(Node::Leaf { .. })));
+        m.insert(Collider(4), 'b');
+        assert!(matches!(m.root.as_deref(), Some(Node::Collision { .. })));
+        assert_eq!(m.insert(Collider(4), 'c'), Some('b'));
+        assert_eq!(m.remove(&Collider(2)), Some('a'));
+        // one key left: back to an inline leaf, equal to a fresh map
+        assert!(matches!(m.root.as_deref(), Some(Node::Leaf { .. })));
+        let fresh: PMap<Collider, char> = [(Collider(4), 'c')].into_iter().collect();
+        assert_eq!(m, fresh);
     }
 
     #[test]
