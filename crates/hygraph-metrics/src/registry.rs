@@ -371,7 +371,8 @@ pub struct TemporalMetrics {
     pub gc_commits_folded: Counter,
     /// Commit records currently retained in history.
     pub history_commits: Gauge,
-    /// Approximate bytes held by history (base state + deltas).
+    /// Encoded bytes of the commit deltas history retains (the base
+    /// state shares structure with the live store and is not counted).
     pub history_bytes: Gauge,
     /// Longest per-entity version chain currently retained.
     pub version_chain_max: Gauge,

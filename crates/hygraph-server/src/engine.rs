@@ -243,20 +243,13 @@ impl Engine {
     /// (durable). To keep pre-restart commits individually
     /// time-addressable, open with [`Engine::open_durable`] instead.
     pub fn with_history_config(backend: Backend, capacity: usize, cfg: HistoryConfig) -> Self {
-        let history = cfg.enabled.then(|| match &backend {
-            Backend::Memory { hg, .. } => HistoryStore::new(cfg.clone(), hg, 0),
-            Backend::Durable(store) => HistoryStore::from_parts(
-                cfg.clone(),
-                store.state_bytes(),
-                store.history_watermark(),
-                Vec::new(),
-            ),
-            Backend::Sharded(store) => HistoryStore::from_parts(
-                cfg.clone(),
-                store.state_bytes(),
-                store.history_watermark(),
-                Vec::new(),
-            ),
+        let history = cfg.enabled.then(|| {
+            let watermark = match &backend {
+                Backend::Memory { .. } => 0,
+                Backend::Durable(store) => store.history_watermark(),
+                Backend::Sharded(store) => store.history_watermark(),
+            };
+            HistoryStore::new(cfg, backend.graph(), watermark)
         });
         Self::with_seeded_history(backend, capacity, history)
     }

@@ -19,7 +19,7 @@ pub struct HistoryConfig {
     pub enabled: bool,
     /// Retention window in milliseconds
     /// (`HYGRAPH_HISTORY_RETAIN_SECS`, default 0 = unbounded). Commits
-    /// older than `now - retain_ms` are folded into the base snapshot,
+    /// older than `now - retain_ms` are folded into the base state,
     /// moving the queryable horizon forward and releasing their memory.
     pub retain_ms: i64,
     /// Reconstructed snapshots kept in the LRU cache (not

@@ -5,10 +5,10 @@
 //! only. A commit takes it twice (allocate the timestamp, then record
 //! the applied batch). An `AS OF` / `BETWEEN` read takes it to binary
 //! search the timeline, consult the snapshot cache and capture what a
-//! reconstruction needs — the base bytes and the commit prefix, both
-//! behind `Arc`s — then decodes and replays with the lock released,
-//! and takes it once more to insert the result into the cache. Live
-//! queries never call into the store at all.
+//! reconstruction needs — the base state and the commit prefix, both
+//! behind `Arc`s — then clones the base and replays with the lock
+//! released, and takes it once more to insert the result into the
+//! cache. Live queries never call into the store at all.
 
 use hygraph_core::{ElementRef, HyGraph};
 use hygraph_metrics as metrics;
@@ -41,10 +41,10 @@ pub enum SnapshotResolution {
     Past(Arc<HyGraph>),
 }
 
-/// The transaction-time history of one store: a base snapshot (exact
-/// state encoding) plus the ordered commit deltas above it. See the
-/// crate docs for the reconstruction and retention model and the
-/// module docs for what the internal lock covers.
+/// The transaction-time history of one store: a base state plus the
+/// ordered commit deltas above it. See the crate docs for the
+/// reconstruction and retention model and the module docs for what the
+/// internal lock covers.
 #[derive(Debug)]
 pub struct HistoryStore {
     cfg: HistoryConfig,
@@ -54,9 +54,9 @@ pub struct HistoryStore {
 /// Everything the history lock guards.
 #[derive(Debug)]
 struct Timeline {
-    /// Exact state encoding at the history horizon, shared with any
-    /// reconstruction in flight.
-    base_state: Arc<[u8]>,
+    /// The state at the history horizon, sharing structure with the live
+    /// state and with any reconstruction in flight.
+    base: Arc<HyGraph>,
     /// Commit timestamp the base covers: every commit with `ts <=
     /// base_ts` is folded in; `AS OF` below it is out of range.
     base_ts: i64,
@@ -65,8 +65,8 @@ struct Timeline {
     /// Highest timestamp handed out by [`HistoryStore::allocate_ts`]
     /// (or observed at seeding) — the monotonicity floor.
     last_alloc: i64,
-    /// Approximate heap held by history: base bytes + encoded delta
-    /// bytes (what the `hygraph_temporal_history_bytes` gauge reports).
+    /// Encoded bytes of the retained commits (the base is shared, not
+    /// counted) — what the `hygraph_temporal_history_bytes` gauge reports.
     approx_bytes: u64,
     /// Per-entity count of retained delta versions — the version
     /// chains. Only mutations addressing an *existing* element
@@ -84,13 +84,13 @@ struct Timeline {
 /// them into a new base meanwhile.
 struct Rebuild {
     key: i64,
-    base: Arc<[u8]>,
+    base: Arc<HyGraph>,
     prefix: Vec<Arc<CommitRecord>>,
 }
 
 impl Rebuild {
     fn run(&self) -> Result<HyGraph> {
-        let mut state = decode_state(&self.base)?;
+        let mut state = (*self.base).clone();
         for c in &self.prefix {
             for m in &c.mutations {
                 state.apply(m)?;
@@ -204,7 +204,7 @@ impl Timeline {
         let prefix = idx.map_or(&[][..], |i| &self.commits[..=i]);
         Lookup::Miss(Rebuild {
             key,
-            base: Arc::clone(&self.base_state),
+            base: Arc::clone(&self.base),
             prefix: prefix.to_vec(),
         })
     }
@@ -228,15 +228,14 @@ impl Timeline {
 }
 
 impl HistoryStore {
-    /// A history whose horizon is `base` at transaction time `base_ts`.
+    /// A history whose horizon is (a structure-sharing clone of) `base`
+    /// at transaction time `base_ts`.
     pub fn new(cfg: HistoryConfig, base: &HyGraph, base_ts: i64) -> Self {
-        let mut w = ByteWriter::new();
-        base.encode_state(&mut w);
-        Self::from_parts(cfg, w.into_bytes(), base_ts, Vec::new())
+        Self::with_base(cfg, base.clone(), base_ts, Vec::new())
     }
 
-    /// A history assembled from recovered parts (see
-    /// [`crate::HistorySeed`]). `commits` must carry strictly
+    /// A history over an exact state encoding of its base, decoded once
+    /// (panics if it does not decode). `commits` must carry strictly
     /// increasing timestamps, all above `base_ts`.
     pub fn from_parts(
         cfg: HistoryConfig,
@@ -244,9 +243,21 @@ impl HistoryStore {
         base_ts: i64,
         commits: Vec<CommitRecord>,
     ) -> Self {
+        let base = decode_state(&base_state).expect("history base must be an exact state encoding");
+        Self::with_base(cfg, base, base_ts, commits)
+    }
+
+    /// A history whose horizon is `base` at `base_ts`, with `commits`
+    /// (strictly increasing timestamps above `base_ts`) retained.
+    pub(crate) fn with_base(
+        cfg: HistoryConfig,
+        base: HyGraph,
+        base_ts: i64,
+        commits: Vec<CommitRecord>,
+    ) -> Self {
         let mut tl = Timeline {
-            approx_bytes: base_state.len() as u64,
-            base_state: base_state.into(),
+            approx_bytes: 0,
+            base: Arc::new(base),
             base_ts,
             commits: Vec::new(),
             last_alloc: base_ts,
@@ -308,7 +319,7 @@ impl HistoryStore {
     }
 
     /// Folds commits older than the retention window (relative to
-    /// `now_ms`) into the base snapshot, moving the queryable horizon
+    /// `now_ms`) into the base state, moving the queryable horizon
     /// forward. Returns how many commits were retired. No-op when
     /// retention is unbounded. Reconstructions already running keep
     /// their captured base and prefix, so they still return the exact
@@ -326,13 +337,12 @@ impl HistoryStore {
         if fold == 0 {
             return 0;
         }
-        // one decode → apply* → encode pass for the whole expired run
-        let mut state = decode_state(&tl.base_state)
-            .expect("history base must decode: it was encoded by encode_state");
-        for c in tl.commits.drain(..fold).collect::<Vec<_>>() {
+        // fold the expired run into the base in place — copy-on-write
+        // when a reconstruction in flight still holds the old one
+        let base = Arc::make_mut(&mut tl.base);
+        for c in tl.commits.drain(..fold) {
             for m in &c.mutations {
-                state
-                    .apply(m)
+                base.apply(m)
                     .expect("recorded mutation must re-apply: it applied once");
                 tl.approx_bytes = tl.approx_bytes.saturating_sub(mutation_bytes(m));
                 if let Some(key) = chain_key(m) {
@@ -346,14 +356,6 @@ impl HistoryStore {
             }
             tl.base_ts = c.commit_ts;
         }
-        let old_base = tl.base_state.len() as u64;
-        let mut w = ByteWriter::new();
-        state.encode_state(&mut w);
-        tl.base_state = w.into_bytes().into();
-        tl.approx_bytes = tl
-            .approx_bytes
-            .saturating_sub(old_base)
-            .saturating_add(tl.base_state.len() as u64);
         // cached snapshots below the new horizon are unreachable
         let base_ts = tl.base_ts;
         tl.cache.retain(|(ts, _)| *ts >= base_ts);
@@ -505,7 +507,7 @@ impl HistoryStore {
         self.lock().commits.iter().map(|c| c.commit_ts).collect()
     }
 
-    /// Approximate bytes held by history (base + deltas).
+    /// Encoded bytes of the retained commit deltas (the base is shared).
     pub fn approx_bytes(&self) -> u64 {
         self.lock().approx_bytes
     }
@@ -832,27 +834,36 @@ mod tests {
     #[test]
     fn rebuild_captured_before_gc_returns_its_exact_state() {
         let (mut history, states) = twelve_commits();
-        let (ts, want) = &states[2];
-        // capture the cold rebuild under the lock, as a resolver does
-        let lookup = {
-            let mut tl = history.lock();
-            let idx = tl.index_at(*ts);
-            tl.lookup(idx)
-        };
-        assert!(matches!(lookup, Lookup::Miss(_)), "cold target");
-        // retention then folds the captured prefix into a new base
         history.cfg.retain_ms = 1_500;
-        let folded = history.gc(states[5].0);
-        assert!(folded >= 3, "the target's commits were retired");
-        assert!(history.base_ts() > *ts);
-        // the rebuild still reproduces the state at its own timestamp
-        let got = history.materialize(lookup).unwrap();
-        assert_eq!(&state_bytes(&got), want);
-        // and is not cached: the horizon has passed it
+        // a first fold moves the base off genesis (horizon: commit 1)
+        assert_eq!(history.gc(states[3].0), 2);
+        assert_eq!(history.base_ts(), states[1].0);
+        // capture two cold rebuilds under the lock, as a resolver does:
+        // the bare base, and a prefix over it
+        let (at_base, over_base) = {
+            let mut tl = history.lock();
+            let idx = tl.index_at(states[4].0);
+            (tl.lookup(None), tl.lookup(idx))
+        };
+        let captured = |l: &Lookup| match l {
+            Lookup::Miss(r) => state_bytes(&r.base),
+            Lookup::Hit(_) => panic!("cold target"),
+        };
+        assert_eq!(captured(&at_base), states[1].1);
+        // retention then folds past both keys, into the base they hold
+        assert_eq!(history.gc(states[8].0), 5);
+        assert!(history.base_ts() > states[4].0);
+        // the fold copied the base on write: the captured one is intact,
+        // and each rebuild reproduces the state at its own timestamp
+        assert_eq!(captured(&over_base), states[1].1);
+        let rebuilt = |l: Lookup| state_bytes(&history.materialize(l).unwrap());
+        assert_eq!(rebuilt(at_base), states[1].1);
+        assert_eq!(rebuilt(over_base), states[4].1);
+        // neither is cached (the horizon has passed them) nor reachable
         {
             let tl = history.lock();
             assert!(tl.cache.iter().all(|(k, _)| *k >= tl.base_ts));
         }
-        assert!(history.snapshot_at(*ts).is_err(), "below the new horizon");
+        assert!(history.snapshot_at(states[4].0).is_err(), "below horizon");
     }
 }

@@ -9,10 +9,11 @@
 //! epoch current somewhere in the window.
 //!
 //! The design follows the delta-chain school (AeonG, Chronos): the
-//! *current* state stays hot and untouched — history is a base
-//! snapshot (exact state encoding) plus an ordered list of
-//! [`CommitRecord`]s, each the mutation batch of one transaction.
-//! Reconstruction replays the prefix `base ++ commits[..=i]`, which by
+//! *current* state stays hot and untouched — history is a base state
+//! sharing structure with it (no second copy of the world) plus an
+//! ordered list of [`CommitRecord`]s, each the mutation batch of one
+//! transaction. Reconstruction replays the prefix
+//! `base ++ commits[..=i]` onto a clone of the base, which by
 //! the determinism contract of [`hygraph_persist::Durable::apply`]
 //! reproduces the historical state *bit for bit* — the same argument
 //! that makes WAL recovery exact makes time travel exact. A small LRU
@@ -20,8 +21,8 @@
 //! same epoch.
 //!
 //! Retention is bounded by `HYGRAPH_HISTORY_RETAIN_SECS`
-//! ([`HistoryConfig`]): expired commits are folded into the base
-//! snapshot, moving the queryable horizon forward. `AS OF` below the
+//! ([`HistoryConfig`]): expired commits are applied to the base
+//! copy-on-write, moving the queryable horizon forward. `AS OF` below the
 //! horizon is a typed error, never a silently wrong answer.
 //!
 //! ```

@@ -2,7 +2,6 @@
 
 use hygraph_core::HyGraph;
 use hygraph_persist::{Durable, HgMutation, RecoveryObserver};
-use hygraph_types::bytes::ByteWriter;
 use hygraph_types::Result;
 
 use crate::config::HistoryConfig;
@@ -16,13 +15,14 @@ use crate::history::{decode_state, CommitRecord, HistoryStore};
 /// [`HistorySeed::finish`] once recovery returns. Frames stamped at or
 /// below the watermark — including `ts = 0` frames from pre-history
 /// (`HGWL1`) segments — carry no usable transaction time and are folded
-/// into the base snapshot; frames above it become one [`CommitRecord`]
+/// into the base state; frames above it become one [`CommitRecord`]
 /// per distinct timestamp (frames of one commit share a stamp, and
 /// stamps are strictly increasing across commits).
 #[derive(Debug)]
 pub struct HistorySeed {
     cfg: HistoryConfig,
-    base_state: Vec<u8>,
+    /// The recovered checkpoint's state encoding, if one was loaded.
+    base_state: Option<Vec<u8>>,
     base_ts: i64,
     replays: Vec<(i64, HgMutation)>,
 }
@@ -31,36 +31,33 @@ impl HistorySeed {
     /// An empty seed: until [`RecoveryObserver::base`] fires, the base
     /// is a fresh store at transaction time 0.
     pub fn new(cfg: HistoryConfig) -> Self {
-        let mut w = ByteWriter::new();
-        HyGraph::new().encode_state(&mut w);
         Self {
             cfg,
-            base_state: w.into_bytes(),
+            base_state: None,
             base_ts: 0,
             replays: Vec::new(),
         }
     }
 
-    /// Assembles the captured recovery into a [`HistoryStore`].
+    /// Assembles the captured recovery into a [`HistoryStore`],
+    /// decoding the checkpoint once.
     pub fn finish(self) -> Result<HistoryStore> {
         let Self {
             cfg,
-            mut base_state,
+            base_state,
             base_ts,
             replays,
         } = self;
+        let mut base = match base_state {
+            Some(bytes) => decode_state(&bytes)?,
+            None => HyGraph::new(),
+        };
         // Fold untimed / pre-watermark replays into the base. (With a
         // v2 log this set is empty above an intact checkpoint, but a
         // legacy HGWL1 suffix replays as ts = 0.)
         let split = replays.partition_point(|(ts, _)| *ts <= base_ts);
-        if split > 0 {
-            let mut state = decode_state(&base_state)?;
-            for (_, m) in &replays[..split] {
-                state.apply(m)?;
-            }
-            let mut w = ByteWriter::new();
-            state.encode_state(&mut w);
-            base_state = w.into_bytes();
+        for (_, m) in &replays[..split] {
+            base.apply(m)?;
         }
         // Group the timed suffix into commits: one record per run of
         // consecutive equal timestamps.
@@ -74,14 +71,14 @@ impl HistorySeed {
                 }),
             }
         }
-        Ok(HistoryStore::from_parts(cfg, base_state, base_ts, commits))
+        Ok(HistoryStore::with_base(cfg, base, base_ts, commits))
     }
 }
 
 impl RecoveryObserver<HyGraph> for HistorySeed {
     fn base(&mut self, watermark: i64, state: &[u8]) {
         self.base_ts = watermark;
-        self.base_state = state.to_vec();
+        self.base_state = Some(state.to_vec());
     }
 
     fn replay(&mut self, _lsn: u64, ts: i64, m: &HgMutation) {
@@ -93,7 +90,7 @@ impl RecoveryObserver<HyGraph> for HistorySeed {
 mod tests {
     use super::*;
     use crate::history::SnapshotResolution;
-    use hygraph_types::bytes::ByteReader;
+    use hygraph_types::bytes::ByteWriter;
     use hygraph_types::{Interval, PropertyMap, Timestamp};
 
     fn add_vertex(label: &str) -> HgMutation {
@@ -108,13 +105,6 @@ mod tests {
         let mut w = ByteWriter::new();
         hg.encode_state(&mut w);
         w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> HyGraph {
-        let mut r = ByteReader::new(bytes);
-        let hg = HyGraph::decode_state(&mut r).unwrap();
-        r.expect_exhausted().unwrap();
-        hg
     }
 
     #[test]
@@ -189,6 +179,5 @@ mod tests {
             history.snapshot_at(4_000).unwrap(),
             SnapshotResolution::Live
         ));
-        let _ = decode(&state_bytes(&HyGraph::new())); // codec sanity
     }
 }

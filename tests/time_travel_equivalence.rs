@@ -4,7 +4,9 @@
 //! that makes WAL recovery exact — and `AS OF NOW()` must be
 //! byte-identical to the plain, bound-free query. Both execution modes
 //! of the oracle are exercised, and `BETWEEN` windows must union
-//! exactly the epochs the window saw.
+//! exactly the epochs the window saw. A second property interleaves
+//! retention folds with the commits: folding into a base that shares
+//! structure with the live state must never write through to it.
 
 use hygraph::persist::{Durable, HgMutation};
 use hygraph::prelude::*;
@@ -12,6 +14,7 @@ use hygraph::query_engine as hq;
 use hygraph::temporal::{HistoryConfig, HistoryStore, SnapshotResolution};
 use hygraph::types::bytes::ByteWriter;
 use hygraph::types::props;
+use hygraph::types::HyGraphError;
 use proptest::prelude::*;
 
 /// The fixture: a user/card pair over an integer-valued spend series
@@ -230,6 +233,83 @@ proptest! {
                     &encoded(&got), &encoded(&want),
                     "BETWEEN union diverged for {:?}", text
                 );
+            }
+        }
+    }
+}
+
+/// Checks every oracle state against the history's current horizon:
+/// at or above it `AS OF` is byte-identical to the replay (the newest
+/// commit resolves to the live state), below it a typed error.
+fn check_against_horizon(
+    history: &HistoryStore,
+    oracle: &[(i64, Vec<u8>)],
+) -> std::result::Result<(), TestCaseError> {
+    let horizon = history.base_ts();
+    let last = oracle.last().expect("genesis is always in the oracle").0;
+    for (ts, want) in oracle {
+        match history.snapshot_at(*ts) {
+            Err(HyGraphError::Query(msg)) if *ts < horizon => {
+                prop_assert!(msg.contains("history horizon"), "AS OF {}: {}", ts, msg);
+            }
+            Err(e) => {
+                return Err(TestCaseError::fail(format!(
+                    "AS OF {ts} (horizon {horizon}): {e}"
+                )))
+            }
+            Ok(_) if *ts < horizon => {
+                return Err(TestCaseError::fail(format!(
+                    "AS OF {ts} answered below the horizon {horizon}"
+                )))
+            }
+            Ok(SnapshotResolution::Live) => {
+                prop_assert_eq!(*ts, last, "only the newest commit is live")
+            }
+            Ok(SnapshotResolution::Past(past)) => {
+                prop_assert!(*ts != last, "the newest commit must resolve Live");
+                prop_assert_eq!(&state_bytes(&past), want, "AS OF {} after a fold", ts);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn retention_folds_keep_live_intact_and_as_of_exact(
+        ops in proptest::collection::vec(
+            (0u8..8, 0u64..u64::MAX, 0u64..u64::MAX, 0i64..4), 1..12),
+        retain_commits in 1i64..4,
+    ) {
+        let cfg = HistoryConfig {
+            retain_ms: retain_commits * 1_000,
+            ..HistoryConfig::default()
+        };
+        let mut live = instance();
+        let history = HistoryStore::new(cfg, &live, 0);
+
+        // oracle: the state after every applied commit, genesis first
+        let mut oracle = vec![(0i64, state_bytes(&live))];
+        let mut clock = 1_000i64;
+        for (i, &(op, s1, s2, extra)) in ops.iter().enumerate() {
+            let nv = live.topology().vertex_capacity();
+            let m = decode_op(op, s1, s2, nv, &mut clock);
+            let ts = history.allocate_ts((i as i64 + 1) * 1_000);
+            let applied = live.apply(&m).is_ok();
+            let expected_live = state_bytes(&live);
+            // the commit path folds what retention expired ...
+            history.record_commit(ts, if applied { vec![m] } else { Vec::new() });
+            if applied {
+                oracle.push((ts, expected_live.clone()));
+            }
+            prop_assert_eq!(&state_bytes(&live), &expected_live, "commit-path fold wrote through");
+            check_against_horizon(&history, &oracle)?;
+            // ... and an out-of-band sweep may run up to 3 commits ahead
+            // of it, past the newest commit included
+            if extra > 0 {
+                history.gc(ts + extra * 1_000);
+                prop_assert_eq!(&state_bytes(&live), &expected_live, "gc fold wrote through");
+                check_against_horizon(&history, &oracle)?;
             }
         }
     }
